@@ -33,10 +33,11 @@ Json SchemeScore::to_json() const {
 }
 
 std::vector<wire::FrameView> Engine::make_views(const LabeledTrace& trace) {
+    const wire::FrameSlab slab{trace.frames.size(), trace.storage};
     std::vector<wire::FrameView> views;
     views.reserve(trace.frames.size());
-    for (const TraceFrame& f : trace.frames) {
-        wire::FrameView view{wire::FrameBuffer::capture(std::span<const std::uint8_t>(f.bytes))};
+    for (std::size_t i = 0; i < trace.frames.size(); ++i) {
+        wire::FrameView view{slab.capture(i, trace.frames[i].bytes)};
         view.prime();
         views.push_back(std::move(view));
     }
@@ -84,18 +85,10 @@ common::Expected<SchemeScore> Engine::run_impl(const LabeledTrace& trace,
 
     SchemeScore score;
     score.scheme = scheme_name;
-    score.attack_frames = trace.attack_count();
-
-    // The Rep allocations behind the views are scattered on the heap and
-    // the working set of a 100k-frame trace exceeds cache; prefetching a
-    // few frames ahead hides the streaming miss for every scheme.
-    constexpr std::size_t kPrefetchAhead = 8;
 
     // Ungated, every view is primed and readable up front. Behind a
     // pipeline gate, only frames below the priming frontier are safe to
-    // touch — reads wait at batch boundaries, and prefetch (which is just a
-    // cache hint, not a synchronization point) clamps to the same bound so
-    // it never races a prime worker writing the view slot.
+    // touch — reads wait at batch boundaries.
     const std::size_t batch_frames = gate != nullptr ? gate->batch_frames() : 0;
     std::size_t ready = gate != nullptr ? gate->ready_frames() : views.size();
 
@@ -105,9 +98,7 @@ common::Expected<SchemeScore> Engine::run_impl(const LabeledTrace& trace,
             gate->wait_batch(i / batch_frames);
             ready = gate->ready_frames();
         }
-        if (i + kPrefetchAhead < ready) views[i + kPrefetchAhead].prefetch();
-        const TraceFrame& f = trace.frames[i];
-        session.feed(f.at, views[i]);
+        session.feed(trace.frames[i].at, views[i]);
     }
     // The session tracks the max timestamp it saw, which equals
     // trace.last_at() after a full feed.
@@ -120,6 +111,7 @@ common::Expected<SchemeScore> Engine::run_impl(const LabeledTrace& trace,
     for (const TraceFrame& f : trace.frames) {
         if (f.attack) attack_times.push_back(f.at);
     }
+    score.attack_frames = attack_times.size();
     const detect::AlertSink& alerts = session.alerts();
     const MatchCounts match =
         match_alerts(std::move(attack_times), alerts.alerts(), options_.match_window);

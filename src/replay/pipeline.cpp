@@ -11,7 +11,7 @@ std::size_t div_ceil(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 }  // namespace
 
 Pipeline::Pipeline(const LabeledTrace& trace, PipelineOptions options)
-    : trace_(&trace), options_(options) {
+    : trace_(&trace), options_(options), slab_(trace.frames.size(), trace.storage) {
     if (options_.batch_frames == 0) options_.batch_frames = 1;
     if (options_.ring_slots == 0) options_.ring_slots = 1;
     const std::size_t nframes = trace.frames.size();
@@ -49,8 +49,7 @@ void Pipeline::prime_batch(std::size_t batch) {
     const std::size_t begin = batch * options_.batch_frames;
     const std::size_t end = std::min(begin + options_.batch_frames, trace_->frames.size());
     for (std::size_t i = begin; i < end; ++i) {
-        wire::FrameView view{wire::FrameBuffer::capture(
-            std::span<const std::uint8_t>(trace_->frames[i].bytes))};
+        wire::FrameView view{slab_.capture(i, trace_->frames[i].bytes)};
         view.prime();
         views_[i] = std::move(view);
     }

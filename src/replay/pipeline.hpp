@@ -107,6 +107,7 @@ private:
     const LabeledTrace* trace_;
     PipelineOptions options_;
     std::size_t batch_count_ = 0;
+    wire::FrameSlab slab_;
     std::vector<wire::FrameView> views_;
 
     using BatchRing = common::SpscRing<std::uint32_t>;

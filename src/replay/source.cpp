@@ -17,19 +17,31 @@ namespace arpsec::replay {
 
 namespace {
 
-/// Accumulates the mirror-port stream of one harness run.
+/// A recorded frame whose bytes sit at [offset, offset + size) of a buffer
+/// that is still growing; it becomes a TraceFrame once the buffer is final.
+struct RecordedFrame {
+    common::SimTime at;
+    std::size_t offset = 0;
+    std::size_t size = 0;
+    bool attack = false;
+};
+
+/// Accumulates the mirror-port stream of one harness run into one buffer.
 class CaptureRecorder final : public check::FrameRecorder {
 public:
     void on_monitor_frame(common::SimTime at, bool attacker_origin,
                           std::span<const std::uint8_t> raw) override {
-        frames.push_back({at, wire::Bytes{raw.begin(), raw.end()}, attacker_origin});
+        frames.push_back({at, bytes.size(), raw.size(), attacker_origin});
+        bytes.insert(bytes.end(), raw.begin(), raw.end());
     }
 
-    std::vector<TraceFrame> frames;
+    wire::Bytes bytes;
+    std::vector<RecordedFrame> frames;
 };
 
 struct Epoch {
-    std::vector<TraceFrame> frames;
+    wire::Bytes bytes;
+    std::vector<RecordedFrame> frames;
     std::vector<detect::HostRecord> directory;
 };
 
@@ -45,7 +57,8 @@ Epoch render_epoch(const check::GenOptions& gen, std::uint64_t seed) {
     harness.set_recorder(&recorder);
     (void)harness.run(scenario);
 
-    return {std::move(recorder.frames), check::lan_directory(scenario)};
+    return {std::move(recorder.bytes), std::move(recorder.frames),
+            check::lan_directory(scenario)};
 }
 
 }  // namespace
@@ -74,6 +87,10 @@ common::Expected<LabeledTrace> ScenarioTraceSource::load() {
     // Ground-truth bindings, merged across epochs. Static addressing is
     // deterministic per host index, so epochs agree on every shared IP.
     std::map<std::uint32_t, detect::HostRecord> directory;
+    // Epoch buffers are appended into one trace buffer; frames keep offsets
+    // until it stops growing, then become spans into it.
+    auto storage = std::make_shared<wire::Bytes>();
+    std::vector<RecordedFrame> recorded;
 
     const std::size_t jobs = options_.jobs == 0 ? 1 : options_.jobs;
     common::SimTime offset = common::SimTime::zero();
@@ -92,15 +109,18 @@ common::Expected<LabeledTrace> ScenarioTraceSource::load() {
             for (const detect::HostRecord& r : epoch.directory) {
                 directory.emplace(r.ip.value(), r);
             }
-            for (TraceFrame& f : epoch.frames) {
+            const std::size_t base = storage->size();
+            storage->insert(storage->end(), epoch.bytes.begin(), epoch.bytes.end());
+            for (RecordedFrame& f : epoch.frames) {
                 f.at = common::SimTime{offset.nanos() + f.at.nanos()};
-                trace.frames.push_back(std::move(f));
+                f.offset += base;
+                recorded.push_back(f);
             }
-            if (!trace.frames.empty()) {
-                offset = trace.frames.back().at + options_.epoch_gap;
+            if (!recorded.empty()) {
+                offset = recorded.back().at + options_.epoch_gap;
             }
             ++next_epoch;
-            if (trace.frames.size() >= options_.target_frames) {
+            if (recorded.size() >= options_.target_frames) {
                 done = true;
                 break;
             }
@@ -112,6 +132,12 @@ common::Expected<LabeledTrace> ScenarioTraceSource::load() {
                                std::to_string(next_epoch) + " epochs");
     }
     for (auto& [ip, record] : directory) trace.directory.push_back(record);
+    const std::span<const std::uint8_t> all{*storage};
+    trace.frames.reserve(recorded.size());
+    for (const RecordedFrame& f : recorded) {
+        trace.frames.push_back({f.at, all.subspan(f.offset, f.size), f.attack});
+    }
+    trace.storage = std::move(storage);
     return trace;
 }
 

@@ -112,6 +112,7 @@ common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
     trace.seed = labels.seed;
     trace.origin = std::move(origin);
     trace.directory = labels.directory;
+    trace.storage = pcap.storage;
     trace.frames.reserve(pcap.records.size());
     for (const wire::PcapRecord& rec : pcap.records) {
         trace.frames.push_back({rec.at, rec.bytes, false});

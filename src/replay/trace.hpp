@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,10 +16,17 @@
 namespace arpsec::replay {
 
 /// One frame of a replayable trace: capture timestamp, raw bytes, and the
-/// ground-truth label (true when the frame is a poisoning attempt).
+/// ground-truth label (true when the frame is a poisoning attempt). The
+/// bytes are a span, normally into the owning LabeledTrace's `storage`.
 struct TraceFrame {
+    TraceFrame() = default;
+    TraceFrame(common::SimTime time, std::span<const std::uint8_t> data, bool poisoning)
+        : at(time), bytes(data), attack(poisoning) {}
+    /// A span over a temporary would dangle as soon as the statement ends.
+    TraceFrame(common::SimTime, wire::Bytes&&, bool) = delete;
+
     common::SimTime at;
-    wire::Bytes bytes;
+    std::span<const std::uint8_t> bytes;
     bool attack = false;
 };
 
@@ -25,11 +34,18 @@ struct TraceFrame {
 /// the (IP, MAC) directory the recorded LAN actually used, so schemes that
 /// require a priori bindings (static entries, S-ARP enrollment, DAI) can be
 /// deployed against the capture.
+///
+/// `storage` is the one buffer every frame's bytes point into (the pcap
+/// file, or the rendered epochs); copies of a trace share it. Every
+/// producer in this module fills it. A hand-built trace may leave it null
+/// and point its frames elsewhere — it then keeps those bytes alive itself,
+/// and Engine::make_views copies them instead of aliasing.
 struct LabeledTrace {
     std::vector<TraceFrame> frames;
     std::vector<detect::HostRecord> directory;
     std::uint64_t seed = 0;
     std::string origin;  // "scenario-gen" or the source pcap path
+    std::shared_ptr<const wire::Bytes> storage;
 
     [[nodiscard]] std::size_t attack_count() const;
     [[nodiscard]] common::SimTime last_at() const;
@@ -54,6 +70,8 @@ struct TraceLabels {
 
 /// Joins a parsed pcap with its sidecar; fails when the label document
 /// disagrees with the capture (frame count mismatch, index out of range).
+/// The result shares `pcap.storage`: frames borrow the record spans, and
+/// no byte is copied.
 [[nodiscard]] common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
                                                          const TraceLabels& labels,
                                                          std::string origin);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <variant>
 
 #include "wire/arp_packet.hpp"
 #include "wire/buffer.hpp"
@@ -79,11 +80,12 @@ inline constexpr std::size_t kUnknownLen = std::numeric_limits<std::size_t>::max
 class FrameView;
 
 /// Immutable, refcounted wire bytes plus a lazily populated parse memo.
-/// A frame is serialized exactly once, at origin (`serialize()`), or
-/// ingested verbatim from a capture (`capture()`); everything downstream —
-/// taps, the switch flood/mirror path, scheme monitors, replay — shares the
-/// same allocation by value. Copying a FrameBuffer bumps a refcount; the
-/// bytes themselves are never copied or mutated after construction.
+/// A frame is serialized exactly once, at origin (`serialize()`), ingested
+/// verbatim from a capture (`capture()`), or aliased in place inside a
+/// capture file's buffer (`FrameSlab`); everything downstream — taps, the
+/// switch flood/mirror path, scheme monitors, replay — shares the same
+/// allocation by value. Copying a FrameBuffer bumps a refcount; the bytes
+/// themselves are never copied or mutated after construction.
 ///
 /// The memo (Ethernet header, ARP/IPv4 payload) is populated on first
 /// access and is NOT synchronized: buffers that cross threads (replay
@@ -98,9 +100,10 @@ public:
     /// never pay a header parse.
     [[nodiscard]] static FrameBuffer serialize(const EthernetFrame& frame);
 
-    /// Capture path (pcap, replayed traces): adopt raw bytes verbatim. The
-    /// unpadded payload length is unknown, so views expose the padded
-    /// payload exactly as it appeared on the wire.
+    /// Capture path (stream intake, raw injection): adopt raw bytes
+    /// verbatim; the span overload copies them once. The unpadded payload
+    /// length is unknown, so views expose the padded payload exactly as it
+    /// appeared on the wire.
     [[nodiscard]] static FrameBuffer capture(Bytes bytes);
     [[nodiscard]] static FrameBuffer capture(std::span<const std::uint8_t> bytes);
 
@@ -117,30 +120,55 @@ public:
     /// paths inline into callers; treat as an implementation detail and go
     /// through FrameView instead.
     struct Rep {
-        Bytes bytes;
+        /// The wire bytes: a slice of a capture file that a FrameSlab keeps
+        /// alive, or the bytes that serialize()/capture() store beside the
+        /// Rep in the same allocation.
+        std::span<const std::uint8_t> bytes;
         /// Unpadded payload size when origin-known, kUnknownLen for captures.
         std::size_t payload_len = frame_detail::kUnknownLen;
 
         bool eth_parsed = false;
         bool eth_ok = false;
+        /// The payload memo below has been filled (header.ether_type says
+        /// whether it was parsed as ARP or as IPv4).
+        bool payload_parsed = false;
         EthernetHeader header;
+        /// The parsed ARP or IPv4 payload, or monostate when it did not
+        /// parse. A frame is one or the other, so they share the slot.
+        std::variant<std::monostate, ArpPacket, Ipv4Packet> payload_memo;
 
-        bool arp_parsed = false;
-        bool arp_ok = false;
-        ArpPacket arp;
-
-        bool ipv4_parsed = false;
-        bool ipv4_ok = false;
-        Ipv4Packet ipv4;
-
-        bool frame_built = false;
-        EthernetFrame frame;
+        /// frame()'s materialized copy, built on first use.
+        std::unique_ptr<EthernetFrame> frame;
     };
 
 private:
     friend class FrameView;
+    friend class FrameSlab;
     explicit FrameBuffer(std::shared_ptr<Rep> rep) : rep_(std::move(rep)) {}
     std::shared_ptr<Rep> rep_;
+};
+
+/// Batch capture path (replay ingest): the Reps of a whole trace in one
+/// contiguous allocation that also holds the trace's byte buffer. A buffer
+/// captured here is an aliasing shared_ptr into the slab whose bytes are a
+/// span of `storage`, so capturing a frame allocates and copies nothing,
+/// and every buffer keeps the slab and `storage` alive. Bytes that do not
+/// lie inside `storage` (or any bytes, when `storage` is null) fall back to
+/// an owning capture(), so no buffer ever borrows memory the slab does not
+/// keep alive.
+class FrameSlab {
+public:
+    FrameSlab(std::size_t frames, std::shared_ptr<const Bytes> storage);
+
+    /// The buffer for slot `index` over `bytes`. Each slot is captured at
+    /// most once; distinct slots may be captured concurrently. A slot past
+    /// `frames` also falls back to an owning capture().
+    [[nodiscard]] FrameBuffer capture(std::size_t index,
+                                      std::span<const std::uint8_t> bytes) const;
+
+private:
+    struct Block;
+    std::shared_ptr<Block> block_;
 };
 
 namespace frame_detail {
@@ -236,12 +264,12 @@ public:
         if (rep == nullptr) return nullptr;
         frame_detail::ensure_header(*rep);
         if (!rep->eth_ok || rep->header.ether_type != EtherType::kArp) return nullptr;
-        if (rep->arp_parsed) {
+        if (rep->payload_parsed) {
             ++frame_detail::t_hits.arp;
         } else {
             frame_detail::parse_arp_slow(*rep);
         }
-        return rep->arp_ok ? &rep->arp : nullptr;
+        return std::get_if<ArpPacket>(&rep->payload_memo);
     }
 
     /// The memoized IPv4 payload, or nullptr when the frame is not IPv4 or
@@ -252,18 +280,18 @@ public:
         if (rep == nullptr) return nullptr;
         frame_detail::ensure_header(*rep);
         if (!rep->eth_ok || rep->header.ether_type != EtherType::kIpv4) return nullptr;
-        if (rep->ipv4_parsed) {
+        if (rep->payload_parsed) {
             ++frame_detail::t_hits.ipv4;
         } else {
             frame_detail::parse_ipv4_slow(*rep);
         }
-        return rep->ipv4_ok ? &rep->ipv4 : nullptr;
+        return std::get_if<Ipv4Packet>(&rep->payload_memo);
     }
 
     /// Prefetch hint: pulls the shared memo's hot cache lines toward the
-    /// CPU. Replay's scoring loop visits views in order but the Rep
-    /// allocations are scattered on the heap, so prefetching a few frames
-    /// ahead hides the per-buffer streaming miss.
+    /// CPU, for a caller that will visit heap-scattered buffers in a known
+    /// order. Views from one FrameSlab sit back to back, where the hardware
+    /// prefetcher already streams them, so replay does not call it.
     void prefetch() const {
 #if defined(__GNUC__) || defined(__clang__)
         const FrameBuffer::Rep* rep = buffer_.rep_.get();

@@ -1,7 +1,10 @@
 #include "wire/pcap_reader.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
+
+#include "wire/huge_pages.hpp"
 
 namespace arpsec::wire {
 
@@ -30,11 +33,12 @@ std::string fmt_error(const std::string& what, std::size_t offset) {
     return os.str();
 }
 
-}  // namespace
-
-common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data) {
+/// The parser proper: `storage` becomes the trace's buffer and every record
+/// borrows a span of it.
+common::Expected<PcapTrace> parse_storage(std::shared_ptr<const Bytes> storage) {
     using Result = common::Expected<PcapTrace>;
-    if (data.size() < kGlobalHeaderSize) {
+    const std::span<const std::uint8_t> data{*storage};
+    if (data.size() < PcapReader::kGlobalHeaderSize) {
         return Result::failure("pcap: file too short for the 24-byte global header (" +
                                std::to_string(data.size()) + " bytes)");
     }
@@ -66,9 +70,20 @@ common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data
     trace.snaplen = read_u32(data, 16, swapped);
     trace.link_type = read_u32(data, 20, swapped);
 
-    std::size_t off = kGlobalHeaderSize;
+    // Size the record vector once: a first hop over the record headers
+    // counts the records that fit, so no reallocation copies them.
+    std::size_t count = 0;
+    for (std::size_t at = PcapReader::kGlobalHeaderSize;
+         data.size() - at >= PcapReader::kRecordHeaderSize; ++count) {
+        const std::uint32_t incl_len = read_u32(data, at + 8, swapped);
+        if (data.size() - at - PcapReader::kRecordHeaderSize < incl_len) break;
+        at += PcapReader::kRecordHeaderSize + incl_len;
+    }
+    trace.records.reserve(count);
+
+    std::size_t off = PcapReader::kGlobalHeaderSize;
     while (off < data.size()) {
-        if (data.size() - off < kRecordHeaderSize) {
+        if (data.size() - off < PcapReader::kRecordHeaderSize) {
             return Result::failure(fmt_error(
                 "truncated record header in record #" + std::to_string(trace.records.size()),
                 off));
@@ -77,7 +92,7 @@ common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data
         const std::uint32_t ts_frac = read_u32(data, off + 4, swapped);
         const std::uint32_t incl_len = read_u32(data, off + 8, swapped);
         const std::uint32_t orig_len = read_u32(data, off + 12, swapped);
-        off += kRecordHeaderSize;
+        off += PcapReader::kRecordHeaderSize;
 
         if (incl_len > trace.snaplen && incl_len > 0x0004'0000u) {
             // Far beyond any plausible snap length: a corrupt length field
@@ -85,7 +100,7 @@ common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data
             return Result::failure(fmt_error(
                 "implausible captured length " + std::to_string(incl_len) + " in record #" +
                     std::to_string(trace.records.size()),
-                off - kRecordHeaderSize));
+                off - PcapReader::kRecordHeaderSize));
         }
         if (data.size() - off < incl_len) {
             return Result::failure(fmt_error(
@@ -101,126 +116,43 @@ common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data
                              : static_cast<std::int64_t>(ts_frac) * 1000;
         rec.at = common::SimTime{static_cast<std::int64_t>(ts_sec) * 1'000'000'000 + frac_nanos};
         rec.orig_len = orig_len;
-        rec.bytes.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                         data.begin() + static_cast<std::ptrdiff_t>(off + incl_len));
+        rec.bytes = data.subspan(off, incl_len);
         trace.records.push_back(std::move(rec));
         off += incl_len;
     }
+    trace.storage = std::move(storage);
     return Result{std::move(trace)};
 }
 
-void PcapStreamReader::feed(std::span<const std::uint8_t> data) {
-    bytes_fed_ += data.size();
-    // Reclaim consumed prefix before appending; the threshold keeps the
-    // copy cost amortized O(1) per byte.
-    if (pos_ > 4096 && pos_ > buf_.size() / 2) {
-        base_ += pos_;
-        buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-        pos_ = 0;
-    }
-    buf_.insert(buf_.end(), data.begin(), data.end());
-}
+}  // namespace
 
-PcapStreamReader::Status PcapStreamReader::fail(const std::string& error) {
-    failed_ = true;
-    error_ = error;
-    return Status::kError;
-}
-
-PcapStreamReader::Status PcapStreamReader::poll(PcapRecord& out) {
-    if (failed_) return Status::kError;
-    const std::size_t available = buf_.size() - pos_;
-    const std::span<const std::uint8_t> data(buf_.data() + pos_, available);
-
-    if (!header_done_) {
-        if (data.size() < PcapReader::kGlobalHeaderSize) {
-            if (finished_ && !data.empty()) {
-                return fail("pcap: file too short for the 24-byte global header (" +
-                            std::to_string(data.size()) + " bytes)");
-            }
-            return finished_ ? Status::kEnd : Status::kNeedMore;
-        }
-        const std::uint32_t magic = read_u32(data, 0, /*swapped=*/false);
-        switch (magic) {
-            case kMagicMicroLe:
-                break;
-            case kMagicNanoLe:
-                nanosecond_ = true;
-                break;
-            case kMagicMicroBe:
-                big_endian_ = true;
-                break;
-            case kMagicNanoBe:
-                big_endian_ = true;
-                nanosecond_ = true;
-                break;
-            default: {
-                std::ostringstream os;
-                os << "pcap: unrecognized magic 0x" << std::hex << magic;
-                return fail(os.str());
-            }
-        }
-        snaplen_ = read_u32(data, 16, big_endian_);
-        link_type_ = read_u32(data, 20, big_endian_);
-        pos_ += PcapReader::kGlobalHeaderSize;
-        header_done_ = true;
-        return poll(out);
-    }
-
-    if (data.empty()) return finished_ ? Status::kEnd : Status::kNeedMore;
-    if (data.size() < PcapReader::kRecordHeaderSize) {
-        if (finished_) {
-            return fail(fmt_error(
-                "truncated record header in record #" + std::to_string(records_),
-                base_ + pos_));
-        }
-        return Status::kNeedMore;
-    }
-
-    const std::uint32_t ts_sec = read_u32(data, 0, big_endian_);
-    const std::uint32_t ts_frac = read_u32(data, 4, big_endian_);
-    const std::uint32_t incl_len = read_u32(data, 8, big_endian_);
-    const std::uint32_t orig_len = read_u32(data, 12, big_endian_);
-
-    if (incl_len > snaplen_ && incl_len > 0x0004'0000u) {
-        // Same plausibility bound as the batch parser: a corrupt length
-        // field must not make the stream wait forever for phantom bytes.
-        return fail(fmt_error("implausible captured length " + std::to_string(incl_len) +
-                                  " in record #" + std::to_string(records_),
-                              base_ + pos_));
-    }
-    if (data.size() - PcapReader::kRecordHeaderSize < incl_len) {
-        if (finished_) {
-            return fail(fmt_error(
-                "truncated record body in record #" + std::to_string(records_) + " (want " +
-                    std::to_string(incl_len) + " bytes, have " +
-                    std::to_string(data.size() - PcapReader::kRecordHeaderSize) + ")",
-                base_ + pos_ + PcapReader::kRecordHeaderSize));
-        }
-        return Status::kNeedMore;
-    }
-
-    const std::int64_t frac_nanos = nanosecond_ ? static_cast<std::int64_t>(ts_frac)
-                                                : static_cast<std::int64_t>(ts_frac) * 1000;
-    out.at = common::SimTime{static_cast<std::int64_t>(ts_sec) * 1'000'000'000 + frac_nanos};
-    out.orig_len = orig_len;
-    const std::size_t body = pos_ + PcapReader::kRecordHeaderSize;
-    out.bytes.assign(buf_.begin() + static_cast<std::ptrdiff_t>(body),
-                     buf_.begin() + static_cast<std::ptrdiff_t>(body + incl_len));
-    pos_ = body + incl_len;
-    ++records_;
-    return Status::kRecord;
+common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data) {
+    // lint:allow(untrusted-read-bounds): a full-range copy is bounded by the span itself
+    return parse_storage(std::make_shared<const Bytes>(data.begin(), data.end()));
 }
 
 common::Expected<PcapTrace> PcapReader::read_file(const std::string& path) {
     using Result = common::Expected<PcapTrace>;
     std::ifstream in{path, std::ios::binary};
     if (!in) return Result::failure("pcap: cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string raw = buf.str();
-    return parse(std::span<const std::uint8_t>{
-        reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size()});
+    auto storage = std::make_shared<Bytes>();
+    in.seekg(0, std::ios::end);
+    const std::streamoff size = in.tellg();
+    if (size >= 0 && in.seekg(0)) {
+        // One sized read straight into the buffer the records will borrow.
+        // reserve() allocates without writing, so the advice lands first.
+        storage->reserve(static_cast<std::size_t>(size));
+        advise_huge_pages(storage->data(), storage->capacity());
+        storage->resize(static_cast<std::size_t>(size));
+        in.read(reinterpret_cast<char*>(storage->data()), size);
+        storage->resize(static_cast<std::size_t>(in.gcount()));  // the file shrank meanwhile
+    } else {
+        // Not seekable (a pipe): take whatever the stream yields.
+        in.clear();
+        storage->assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+    }
+    if (in.bad()) return Result::failure("pcap: cannot read '" + path + "'");
+    return parse_storage(std::move(storage));
 }
 
 }  // namespace arpsec::wire

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,20 +14,23 @@ namespace arpsec::wire {
 
 /// One captured frame: timestamp, the captured bytes (caplen), and the
 /// original on-wire length (orig_len >= bytes.size() when the capture was
-/// snapped).
+/// snapped). `bytes` borrows from the owning PcapTrace's `storage`.
 struct PcapRecord {
     common::SimTime at;
     std::uint32_t orig_len = 0;
-    Bytes bytes;
+    std::span<const std::uint8_t> bytes;
 };
 
-/// A fully parsed classic-pcap capture file.
+/// A fully parsed classic-pcap capture file. The whole file sits in one
+/// immutable buffer, `storage`; every record's bytes are a span into it, so
+/// parsing copies no frame. Copies of a PcapTrace share the buffer.
 struct PcapTrace {
     std::uint32_t link_type = 1;  // LINKTYPE_ETHERNET
     std::uint32_t snaplen = 65535;
     bool nanosecond = false;      // nanosecond-resolution magic variant
     bool big_endian = false;      // file written on a big-endian capturer
     std::vector<PcapRecord> records;
+    std::shared_ptr<const Bytes> storage;
 };
 
 /// Reads classic libpcap captures (the input half of PcapWriter): both byte
@@ -40,70 +44,13 @@ public:
     static constexpr std::size_t kGlobalHeaderSize = 24;
     static constexpr std::size_t kRecordHeaderSize = 16;
 
-    /// Parses a whole capture from memory.
+    /// Parses a whole capture from memory. `data` is copied once into the
+    /// trace's storage, so the result does not borrow from the caller.
     static common::Expected<PcapTrace> parse(std::span<const std::uint8_t> data);
 
-    /// Reads and parses `path`; I/O problems are failures too.
+    /// Reads `path` with one sized read into the trace's storage and parses
+    /// it in place; I/O problems are failures too.
     static common::Expected<PcapTrace> read_file(const std::string& path);
-};
-
-/// Incremental classic-pcap parser: feed transport/file chunks of any
-/// size, poll records out as they complete. This is the streaming half of
-/// `PcapReader::parse` — a chunk boundary landing mid-header or mid-body
-/// simply reports `kNeedMore` and resumes when the rest arrives, which is
-/// what a tail -f style capture follower or a socket forwarder needs.
-///
-/// Errors are sticky: pcap has no record-level resync marker, so a corrupt
-/// header (bad magic, implausible captured length) poisons the rest of the
-/// stream and every later poll repeats the typed error. Truncation is only
-/// an error once the caller declares the stream over via `finish()`.
-class PcapStreamReader {
-public:
-    enum class Status {
-        kNeedMore,  ///< No complete record buffered; feed more (or finish()).
-        kRecord,    ///< `out` holds the next record.
-        kEnd,       ///< finish() was called and every buffered byte consumed.
-        kError,     ///< Sticky parse failure; `last_error()` says why.
-    };
-
-    /// Appends capture bytes to the reassembly buffer.
-    void feed(std::span<const std::uint8_t> data);
-
-    /// Declares end-of-stream: leftover bytes become a truncation error.
-    void finish() { finished_ = true; }
-
-    /// Extracts the next record, if a complete one is buffered.
-    Status poll(PcapRecord& out);
-
-    /// Global-header fields; meaningful once `header_ready()`.
-    [[nodiscard]] bool header_ready() const { return header_done_; }
-    [[nodiscard]] std::uint32_t link_type() const { return link_type_; }
-    [[nodiscard]] std::uint32_t snaplen() const { return snaplen_; }
-    [[nodiscard]] bool nanosecond() const { return nanosecond_; }
-    [[nodiscard]] bool big_endian() const { return big_endian_; }
-
-    [[nodiscard]] const std::string& last_error() const { return error_; }
-    [[nodiscard]] std::uint64_t records() const { return records_; }
-    [[nodiscard]] std::uint64_t bytes_fed() const { return bytes_fed_; }
-    /// Bytes buffered but not yet consumed by a poll.
-    [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
-
-private:
-    Status fail(const std::string& error);
-
-    Bytes buf_;
-    std::size_t pos_ = 0;       // consumed prefix of buf_
-    std::uint64_t base_ = 0;    // stream offset of buf_[0] (errors use absolute offsets)
-    bool header_done_ = false;
-    bool finished_ = false;
-    bool failed_ = false;
-    std::uint32_t link_type_ = 1;
-    std::uint32_t snaplen_ = 65535;
-    bool nanosecond_ = false;
-    bool big_endian_ = false;
-    std::string error_;
-    std::uint64_t records_ = 0;
-    std::uint64_t bytes_fed_ = 0;
 };
 
 }  // namespace arpsec::wire

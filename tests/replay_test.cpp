@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,7 +39,7 @@ bool traces_identical(const LabeledTrace& a, const LabeledTrace& b) {
     if (a.frames.size() != b.frames.size()) return false;
     for (std::size_t i = 0; i < a.frames.size(); ++i) {
         if (a.frames[i].at.nanos() != b.frames[i].at.nanos()) return false;
-        if (a.frames[i].bytes != b.frames[i].bytes) return false;
+        if (!std::ranges::equal(a.frames[i].bytes, b.frames[i].bytes)) return false;
         if (a.frames[i].attack != b.frames[i].attack) return false;
     }
     if (a.directory.size() != b.directory.size()) return false;
@@ -43,6 +49,20 @@ bool traces_identical(const LabeledTrace& a, const LabeledTrace& b) {
         if (!(a.directory[i].mac == b.directory[i].mac)) return false;
     }
     return true;
+}
+
+/// True when `bytes` lies entirely inside `storage`.
+bool inside(const wire::Bytes& storage, std::span<const std::uint8_t> bytes) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(storage.data());
+    const auto at = reinterpret_cast<std::uintptr_t>(bytes.data());
+    return at >= lo && at + bytes.size() <= lo + storage.size();
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -121,6 +141,18 @@ TEST(ScenarioTraceSourceTest, IdenticalForAnyJobsValue) {
     EXPECT_TRUE(traces_identical(serial, fanned));
 }
 
+TEST(ScenarioTraceSourceTest, FramesBorrowOneStorageBuffer) {
+    const LabeledTrace trace = load_small();
+    ASSERT_NE(trace.storage, nullptr);
+    std::size_t total = 0;
+    for (const TraceFrame& f : trace.frames) {
+        EXPECT_TRUE(inside(*trace.storage, f.bytes));
+        total += f.bytes.size();
+    }
+    // Frames are laid out back to back: the buffer holds nothing else.
+    EXPECT_EQ(total, trace.storage->size());
+}
+
 // ---------------------------------------------------------------------------
 // write_trace + PcapFileSource
 // ---------------------------------------------------------------------------
@@ -138,7 +170,8 @@ TEST(PcapFileSourceTest, RoundTripsThroughDisk) {
     EXPECT_EQ(loaded->seed, trace.seed);
     ASSERT_EQ(loaded->frames.size(), trace.frames.size());
     for (std::size_t i = 0; i < trace.frames.size(); ++i) {
-        EXPECT_EQ(loaded->frames[i].bytes, trace.frames[i].bytes) << "frame " << i;
+        EXPECT_TRUE(std::ranges::equal(loaded->frames[i].bytes, trace.frames[i].bytes))
+            << "frame " << i;
         EXPECT_EQ(loaded->frames[i].attack, trace.frames[i].attack) << "frame " << i;
         // Classic pcap stores microseconds: timestamps survive the disk
         // round trip at µs resolution, sub-µs digits are truncated.
@@ -152,8 +185,15 @@ TEST(PcapFileSourceTest, RoundTripsThroughDisk) {
         EXPECT_EQ(loaded->directory[i].ip, trace.directory[i].ip);
         EXPECT_EQ(loaded->directory[i].mac, trace.directory[i].mac);
     }
-    std::remove(pcap.c_str());
-    std::remove(labels.c_str());
+
+    // Writing the loaded trace again reproduces both files byte for byte.
+    const std::string again = ::testing::TempDir() + "/arpsec_replay_rt_again.pcap";
+    ASSERT_TRUE(write_trace(loaded.value(), again, again + ".labels.json", "replay_test").ok());
+    EXPECT_EQ(slurp(again), slurp(pcap));
+    EXPECT_EQ(slurp(again + ".labels.json"), slurp(labels));
+    for (const std::string& p : {pcap, labels, again, again + ".labels.json"}) {
+        std::remove(p.c_str());
+    }
 }
 
 TEST(PcapFileSourceTest, MissingSidecarIsATypedError) {
@@ -161,6 +201,57 @@ TEST(PcapFileSourceTest, MissingSidecarIsATypedError) {
         PcapFileSource{"/nonexistent.pcap", "/nonexistent.labels.json"}.load();
     ASSERT_FALSE(loaded.ok());
     EXPECT_FALSE(loaded.error().empty());
+}
+
+TEST(PcapFileSourceTest, ViewsAliasTheTraceStorage) {
+    const LabeledTrace trace = load_small();
+    const std::string pcap = ::testing::TempDir() + "/arpsec_replay_alias.pcap";
+    ASSERT_TRUE(write_trace(trace, pcap, pcap + ".labels.json", "replay_test").ok());
+    auto loaded = PcapFileSource{pcap, pcap + ".labels.json"}.load();
+    std::remove(pcap.c_str());
+    std::remove((pcap + ".labels.json").c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.error();
+    ASSERT_NE(loaded->storage, nullptr);
+
+    // Zero-copy oracle: every view's bytes are the frame's own slice of the
+    // file buffer, not a copy of it.
+    const std::vector<wire::FrameView> views = Engine::make_views(loaded.value());
+    ASSERT_EQ(views.size(), loaded->frames.size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_TRUE(inside(*loaded->storage, views[i].bytes())) << "frame " << i;
+        EXPECT_EQ(views[i].bytes().data(), loaded->frames[i].bytes.data()) << "frame " << i;
+    }
+}
+
+TEST(PcapFileSourceTest, ViewsOutliveTheTraceAndThePcap) {
+    const LabeledTrace trace = load_small();
+    const std::string pcap = ::testing::TempDir() + "/arpsec_replay_keepalive.pcap";
+    ASSERT_TRUE(write_trace(trace, pcap, pcap + ".labels.json", "replay_test").ok());
+
+    std::vector<wire::FrameView> views;
+    {
+        auto read = wire::PcapReader::read_file(pcap);
+        ASSERT_TRUE(read.ok()) << read.error();
+        auto joined = join_labels(read.value(), labels_of(trace), pcap);
+        ASSERT_TRUE(joined.ok()) << joined.error();
+        views = Engine::make_views(joined.value());
+    }
+    std::remove(pcap.c_str());
+    std::remove((pcap + ".labels.json").c_str());
+
+    // The PcapTrace and the LabeledTrace are gone; the views keep the file
+    // buffer alive (ASan reports any read of freed memory here).
+    ASSERT_EQ(views.size(), trace.frames.size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_TRUE(std::ranges::equal(views[i].bytes(), trace.frames[i].bytes)) << "frame " << i;
+        EXPECT_TRUE(views[i].ok()) << "frame " << i;
+    }
+    const detect::Registry registry;
+    EngineOptions opts;
+    opts.timing = false;
+    const auto score = Engine{registry, opts}.run(trace, views, "arpwatch");
+    ASSERT_TRUE(score.ok()) << score.error();
+    EXPECT_EQ(score->frames, trace.frames.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -243,14 +334,15 @@ TEST(EngineTest, NonMonotoneCaptureOrderStillScoresByTimestamp) {
     // Arpwatch learns 10.0.0.1 -> A, then two labeled attacks arrive with
     // *descending* timestamps (1000 ms before 200 ms in capture order), and
     // finally a conflicting claim for 10.0.0.1 fires the alert at 1050 ms.
-    trace.frames.push_back(
-        {SimTime{} + Duration::millis(5), announce(mac_a, {10, 0, 0, 1}), false});
-    trace.frames.push_back(
-        {SimTime{} + Duration::millis(1000), announce(mac_c, {10, 0, 0, 2}), true});
-    trace.frames.push_back(
-        {SimTime{} + Duration::millis(200), announce(mac_d, {10, 0, 0, 3}), true});
-    trace.frames.push_back(
-        {SimTime{} + Duration::millis(1050), announce(mac_b, {10, 0, 0, 1}), false});
+    // The trace borrows its frames' bytes, so they live beside it.
+    const wire::Bytes learn_a = announce(mac_a, {10, 0, 0, 1});
+    const wire::Bytes attack_c = announce(mac_c, {10, 0, 0, 2});
+    const wire::Bytes attack_d = announce(mac_d, {10, 0, 0, 3});
+    const wire::Bytes claim_b = announce(mac_b, {10, 0, 0, 1});
+    trace.frames.push_back({SimTime{} + Duration::millis(5), learn_a, false});
+    trace.frames.push_back({SimTime{} + Duration::millis(1000), attack_c, true});
+    trace.frames.push_back({SimTime{} + Duration::millis(200), attack_d, true});
+    trace.frames.push_back({SimTime{} + Duration::millis(1050), claim_b, false});
 
     const detect::Registry registry;
     EngineOptions opts;

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -197,6 +198,48 @@ TEST(FrameViewTest, CopiesShareIdentityAndBytes) {
 
     const FrameView other{FrameBuffer::capture(Bytes{a.bytes().begin(), a.bytes().end()})};
     EXPECT_NE(a.buffer().identity(), other.buffer().identity());
+}
+
+TEST(FrameSlabTest, AliasesStorageAndKeepsItAlive) {
+    EthernetFrame f;
+    f.ether_type = EtherType::kArp;
+    f.payload = ArpPacket::gratuitous(MacAddress::local(7), Ipv4Address{10, 0, 0, 7},
+                                      /*as_reply=*/true)
+                    .serialize();
+    const Bytes raw = f.serialize();
+    auto storage = std::make_shared<Bytes>(raw);
+    storage->insert(storage->end(), raw.begin(), raw.end());
+    const std::span<const std::uint8_t> all{*storage};
+    const Bytes outside = raw;
+
+    std::vector<FrameView> views;
+    {
+        const FrameSlab slab{3, storage};
+        views.emplace_back(slab.capture(0, all.first(raw.size())));
+        views.emplace_back(slab.capture(1, all.subspan(raw.size())));
+        // Bytes the slab does not own are copied, never borrowed.
+        views.emplace_back(slab.capture(2, outside));
+    }
+    EXPECT_EQ(views[0].bytes().data(), storage->data());
+    EXPECT_EQ(views[1].bytes().data(), storage->data() + raw.size());
+    EXPECT_NE(views[2].bytes().data(), outside.data());
+    // Two slots of one slab are distinct buffers.
+    EXPECT_NE(views[0].buffer().identity(), views[1].buffer().identity());
+
+    // The views hold the slab, and the slab holds the storage.
+    storage.reset();
+    for (const FrameView& v : views) {
+        v.prime();
+        ASSERT_NE(v.arp(), nullptr);
+        EXPECT_EQ(v.arp()->sender_ip, (Ipv4Address{10, 0, 0, 7}));
+        EXPECT_EQ(Bytes(v.bytes().begin(), v.bytes().end()), raw);
+    }
+
+    // Without storage every capture owns its bytes.
+    const FrameSlab unowned{1, nullptr};
+    const FrameView copied{unowned.capture(0, outside)};
+    EXPECT_NE(copied.bytes().data(), outside.data());
+    EXPECT_EQ(Bytes(copied.bytes().begin(), copied.bytes().end()), raw);
 }
 
 TEST(FrameViewTest, MalformedFramesAreNotOk) {
@@ -877,6 +920,16 @@ Bytes read_all(const std::string& path) {
     return out;
 }
 
+/// An owning copy of a borrowed record, for comparisons.
+Bytes to_bytes(std::span<const std::uint8_t> bytes) { return Bytes{bytes.begin(), bytes.end()}; }
+
+/// True when `bytes` lies entirely inside `storage`.
+bool inside(const Bytes& storage, std::span<const std::uint8_t> bytes) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(storage.data());
+    const auto at = reinterpret_cast<std::uintptr_t>(bytes.data());
+    return at >= lo && at + bytes.size() <= lo + storage.size();
+}
+
 /// A hand-built big-endian capture: global header + one 4-byte record.
 Bytes big_endian_fixture(bool nanosecond) {
     const auto be32 = [](Bytes& out, std::uint32_t v) {
@@ -928,7 +981,7 @@ TEST(PcapReaderTest, WriterReaderByteExactRoundTrip) {
     EXPECT_FALSE(trace->big_endian);
     ASSERT_EQ(trace->records.size(), frames.size());
     for (std::size_t i = 0; i < frames.size(); ++i) {
-        EXPECT_EQ(trace->records[i].bytes, frames[i]) << "record " << i;
+        EXPECT_EQ(to_bytes(trace->records[i].bytes), frames[i]) << "record " << i;
         EXPECT_EQ(trace->records[i].at.nanos(), stamps[i]) << "record " << i;
         EXPECT_EQ(trace->records[i].orig_len, frames[i].size()) << "record " << i;
     }
@@ -952,7 +1005,7 @@ TEST(PcapReaderTest, ParsesBigEndianCaptures) {
     EXPECT_EQ(trace->link_type, 1u);
     ASSERT_EQ(trace->records.size(), 1u);
     EXPECT_EQ(trace->records[0].at.nanos(), 7'000'000'000 + 250 * 1'000);
-    EXPECT_EQ(trace->records[0].bytes, (Bytes{0xDE, 0xAD, 0xBE, 0xEF}));
+    EXPECT_EQ(to_bytes(trace->records[0].bytes), (Bytes{0xDE, 0xAD, 0xBE, 0xEF}));
 }
 
 TEST(PcapReaderTest, ParsesNanosecondMagic) {
@@ -1013,152 +1066,61 @@ TEST(PcapReaderTest, TruncatedFinalRecordIsATypedError) {
     EXPECT_EQ(one->records.size(), 1u);
 }
 
+TEST(PcapReaderTest, ImplausibleCapturedLengthIsATypedError) {
+    const std::string path = ::testing::TempDir() + "/arpsec_implausible.pcap";
+    {
+        PcapWriter w(path);
+        w.write(common::SimTime{1'000'000'000}, Bytes(60, 0x11));
+    }
+    Bytes data = read_all(path);
+    std::remove(path.c_str());
+    data[24 + 8] = 0xff;  // incl_len low bytes (LE) of record #0
+    data[24 + 9] = 0xff;
+    data[24 + 10] = 0xff;
+    const auto trace = PcapReader::parse(data);
+    ASSERT_FALSE(trace.ok());
+    EXPECT_NE(trace.error().find("implausible captured length"), std::string::npos)
+        << trace.error();
+    EXPECT_NE(trace.error().find("#0"), std::string::npos) << trace.error();
+}
+
 TEST(PcapReaderTest, MissingFileIsATypedError) {
     const auto trace = PcapReader::read_file("/nonexistent/arpsec.pcap");
     ASSERT_FALSE(trace.ok());
     EXPECT_NE(trace.error().find("cannot open"), std::string::npos) << trace.error();
 }
 
-// ---------------------------------------------------------------------------
-// PcapStreamReader
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// A two-record little-endian capture built by the repo's own writer.
-Bytes two_record_capture() {
-    const std::string path = ::testing::TempDir() + "/arpsec_stream_fixture.pcap";
+TEST(PcapReaderTest, RecordsBorrowTheTracesOwnStorage) {
+    const std::string path = ::testing::TempDir() + "/arpsec_reader_storage.pcap";
     {
         PcapWriter w(path);
         w.write(common::SimTime{1'000'000'000}, Bytes(60, 0x11));
         w.write(common::SimTime{2'000'000'000}, Bytes(42, 0x22));
     }
-    Bytes data = read_all(path);
+    const Bytes file = read_all(path);
+
+    // read_file: the storage is the file, and each record is a slice of it.
+    auto read = PcapReader::read_file(path);
     std::remove(path.c_str());
-    return data;
-}
+    ASSERT_TRUE(read.ok()) << read.error();
+    ASSERT_NE(read->storage, nullptr);
+    EXPECT_EQ(*read->storage, file);
+    ASSERT_EQ(read->records.size(), 2u);
+    EXPECT_EQ(read->records[0].bytes.data(), read->storage->data() + 24 + 16);
+    EXPECT_EQ(read->records[1].bytes.data(), read->storage->data() + 24 + 16 + 60 + 16);
 
-}  // namespace
-
-TEST(PcapStreamReaderTest, SingleFeedMatchesBatchParser) {
-    const Bytes data = two_record_capture();
-    const auto batch = PcapReader::parse(data);
-    ASSERT_TRUE(batch.ok()) << batch.error();
-
-    PcapStreamReader r;
-    r.feed(data);
-    r.finish();
-    std::vector<PcapRecord> records;
-    PcapRecord rec;
-    while (r.poll(rec) == PcapStreamReader::Status::kRecord) records.push_back(rec);
-    EXPECT_EQ(r.poll(rec), PcapStreamReader::Status::kEnd);
-
-    EXPECT_TRUE(r.header_ready());
-    EXPECT_EQ(r.link_type(), batch->link_type);
-    EXPECT_EQ(r.snaplen(), batch->snaplen);
-    ASSERT_EQ(records.size(), batch->records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(records[i].bytes, batch->records[i].bytes) << "record " << i;
-        EXPECT_EQ(records[i].at.nanos(), batch->records[i].at.nanos()) << "record " << i;
-        EXPECT_EQ(records[i].orig_len, batch->records[i].orig_len) << "record " << i;
+    // parse: the caller's buffer is copied once, so the trace outlives it.
+    auto caller = std::make_unique<Bytes>(file);
+    auto parsed = PcapReader::parse(*caller);
+    ASSERT_TRUE(parsed.ok()) << parsed.error();
+    ASSERT_NE(parsed->storage, nullptr);
+    EXPECT_FALSE(inside(*caller, parsed->records[0].bytes));
+    caller.reset();
+    for (const PcapRecord& rec : parsed->records) {
+        EXPECT_TRUE(inside(*parsed->storage, rec.bytes));
     }
-}
-
-TEST(PcapStreamReaderTest, ByteAtATimeFeedResumesMidRecord) {
-    const Bytes data = two_record_capture();
-    // The chunk boundary lands inside the global header, inside each record
-    // header, and inside each body — every one must report kNeedMore, then
-    // resume cleanly when the next byte arrives.
-    PcapStreamReader r;
-    std::vector<PcapRecord> records;
-    for (const std::uint8_t b : data) {
-        r.feed(std::span<const std::uint8_t>(&b, 1));
-        PcapRecord rec;
-        for (;;) {
-            const auto s = r.poll(rec);
-            if (s == PcapStreamReader::Status::kRecord) {
-                records.push_back(rec);
-                continue;
-            }
-            ASSERT_EQ(s, PcapStreamReader::Status::kNeedMore) << r.last_error();
-            break;
-        }
-    }
-    r.finish();
-    PcapRecord rec;
-    EXPECT_EQ(r.poll(rec), PcapStreamReader::Status::kEnd);
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].bytes, Bytes(60, 0x11));
-    EXPECT_EQ(records[1].bytes, Bytes(42, 0x22));
-    EXPECT_EQ(r.records(), 2u);
-    EXPECT_EQ(r.bytes_fed(), data.size());
-    EXPECT_EQ(r.buffered(), 0u);
-}
-
-TEST(PcapStreamReaderTest, TruncationIsOnlyAnErrorAfterFinish) {
-    const Bytes data = two_record_capture();
-    // Clip mid-body of the final record: an open stream just waits...
-    Bytes clipped{data.begin(), data.end() - 10};
-    PcapStreamReader r;
-    r.feed(clipped);
-    PcapRecord rec;
-    ASSERT_EQ(r.poll(rec), PcapStreamReader::Status::kRecord);
-    EXPECT_EQ(r.poll(rec), PcapStreamReader::Status::kNeedMore);
-    // ...and the record completes when the tail finally arrives.
-    r.feed(std::span<const std::uint8_t>(data.data() + data.size() - 10, 10));
-    ASSERT_EQ(r.poll(rec), PcapStreamReader::Status::kRecord);
-    EXPECT_EQ(rec.bytes, Bytes(42, 0x22));
-
-    // The same clip with finish() declared is a typed truncation error.
-    PcapStreamReader r2;
-    r2.feed(clipped);
-    r2.finish();
-    ASSERT_EQ(r2.poll(rec), PcapStreamReader::Status::kRecord);
-    EXPECT_EQ(r2.poll(rec), PcapStreamReader::Status::kError);
-    EXPECT_NE(r2.last_error().find("truncated record body"), std::string::npos)
-        << r2.last_error();
-    EXPECT_NE(r2.last_error().find("#1"), std::string::npos) << r2.last_error();
-    // Errors are sticky.
-    EXPECT_EQ(r2.poll(rec), PcapStreamReader::Status::kError);
-}
-
-TEST(PcapStreamReaderTest, BadMagicAndBadLengthAreStickyErrors) {
-    PcapStreamReader r;
-    Bytes junk(24, 0x00);
-    junk[0] = 0x13;
-    r.feed(junk);
-    PcapRecord rec;
-    EXPECT_EQ(r.poll(rec), PcapStreamReader::Status::kError);
-    EXPECT_NE(r.last_error().find("magic"), std::string::npos) << r.last_error();
-
-    // An implausible captured length poisons the stream at the same bound
-    // the batch parser uses.
-    Bytes data = two_record_capture();
-    data[24 + 8] = 0xff;  // incl_len low byte (LE) of record #0
-    data[24 + 9] = 0xff;
-    data[24 + 10] = 0xff;
-    PcapStreamReader r2;
-    r2.feed(data);
-    EXPECT_EQ(r2.poll(rec), PcapStreamReader::Status::kError);
-    EXPECT_NE(r2.last_error().find("implausible captured length"), std::string::npos)
-        << r2.last_error();
-}
-
-TEST(PcapStreamReaderTest, ParsesBigEndianNanosecondStream) {
-    const Bytes data = big_endian_fixture(/*nanosecond=*/true);
-    PcapStreamReader r;
-    // Split inside the record header to exercise the swapped decode path
-    // across a resume boundary.
-    r.feed(std::span<const std::uint8_t>(data.data(), 30));
-    PcapRecord rec;
-    EXPECT_EQ(r.poll(rec), PcapStreamReader::Status::kNeedMore);
-    EXPECT_TRUE(r.header_ready());
-    EXPECT_TRUE(r.big_endian());
-    EXPECT_TRUE(r.nanosecond());
-    r.feed(std::span<const std::uint8_t>(data.data() + 30, data.size() - 30));
-    ASSERT_EQ(r.poll(rec), PcapStreamReader::Status::kRecord);
-    EXPECT_EQ(rec.at.nanos(), 7'000'000'500);
-    EXPECT_EQ(rec.bytes, (Bytes{0xDE, 0xAD, 0xBE, 0xEF}));
+    EXPECT_EQ(to_bytes(parsed->records[0].bytes), Bytes(60, 0x11));
+    EXPECT_EQ(to_bytes(parsed->records[1].bytes), Bytes(42, 0x22));
 }
 
 // ---------------------------------------------------------------------------

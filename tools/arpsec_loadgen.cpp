@@ -12,6 +12,7 @@
 // --no-end closes without an END record, which the server treats as an
 // abandoned stream and freezes state without the grace window.
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/version.hpp"
+#include "exp/executor.hpp"
 #include "replay/source.hpp"
 #include "serve/transport.hpp"
 #include "wire/stream_codec.hpp"
@@ -155,72 +157,112 @@ int main(int argc, char** argv) {
         return 1;
     }
 
+    // The daemon's side of the stream (kAlert records, then the final
+    // kSummary after END) is read on a second thread while frames are
+    // written. A client that wrote everything before reading would stall
+    // against live alerts: its receive buffer fills, the daemon's alert
+    // drain blocks, its shards block on full alert rings, its intake blocks
+    // on full shard rings, and the client blocks writing frames.
+    constexpr int kPollMs = 100;
+    constexpr int kReplyTimeoutMs = 30000;
+    std::atomic<bool> writer_done{false};
+    std::uint64_t alerts = 0;
+    std::string summary;
+    bool got_summary = false;
+    std::string stream_error;
+    const auto read_replies = [&] {
+        arpsec::wire::StreamDecoder decoder;
+        std::vector<std::uint8_t> rbuf(1 << 16);
+        int idle_ms = 0;
+        while (!got_summary) {
+            // Without END no summary comes: stop once the last frame is out.
+            if (!send_end && writer_done.load()) return;
+            const auto io = c.read_some(std::span<std::uint8_t>{rbuf}, kPollMs);
+            if (io.kind == arpsec::serve::IoResult::Kind::kTimeout) {
+                if ((idle_ms += kPollMs) >= kReplyTimeoutMs) return;
+                continue;
+            }
+            if (io.kind != arpsec::serve::IoResult::Kind::kData) return;
+            idle_ms = 0;
+            // After a decode error keep draining, so the daemon never blocks.
+            if (!stream_error.empty()) continue;
+            decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
+            arpsec::wire::StreamRecord rec;
+            for (;;) {
+                const auto st = decoder.poll(rec);
+                if (st == arpsec::wire::StreamDecoder::Status::kNeedMore) break;
+                if (st == arpsec::wire::StreamDecoder::Status::kFatal) {
+                    stream_error = decoder.last_error();
+                    break;
+                }
+                if (st != arpsec::wire::StreamDecoder::Status::kRecord) continue;
+                if (rec.type == arpsec::wire::StreamRecordType::kAlert) ++alerts;
+                if (rec.type == arpsec::wire::StreamRecordType::kSummary) {
+                    summary = rec.text;
+                    got_summary = true;
+                }
+            }
+        }
+    };
+
     // Laps beyond the first shift timestamps by the trace span so virtual
     // time stays monotonic through a soak.
     const std::int64_t span =
         frames.empty() ? 0 : trace.value().last_at().nanos() + 1'000'000;
     std::uint64_t sent = 0;
-    for (std::size_t lap = 0; lap < repeat; ++lap) {
-        const std::uint64_t shift =
-            static_cast<std::uint64_t>(span) * static_cast<std::uint64_t>(lap);
-        std::size_t i = begin;
-        while (i < end) {
-            out.clear();
-            const std::size_t stop = i + batch_frames < end ? i + batch_frames : end;
-            for (; i < stop; ++i) {
-                arpsec::wire::encode_frame(
-                    out, static_cast<std::uint64_t>(frames[i].at.nanos()) + shift,
-                    std::span<const std::uint8_t>{frames[i].bytes.data(),
-                                                  frames[i].bytes.size()});
-                ++sent;
+    const auto write_frames = [&]() -> int {
+        for (std::size_t lap = 0; lap < repeat; ++lap) {
+            const std::uint64_t shift =
+                static_cast<std::uint64_t>(span) * static_cast<std::uint64_t>(lap);
+            std::size_t i = begin;
+            while (i < end) {
+                out.clear();
+                const std::size_t stop = i + batch_frames < end ? i + batch_frames : end;
+                for (; i < stop; ++i) {
+                    arpsec::wire::encode_frame(
+                        out, static_cast<std::uint64_t>(frames[i].at.nanos()) + shift,
+                        frames[i].bytes);
+                    ++sent;
+                }
+                if (!send(out)) {
+                    std::fprintf(stderr, "arpsec-loadgen: daemon closed after %llu frames\n",
+                                 static_cast<unsigned long long>(sent));
+                    return 1;
+                }
             }
+        }
+        if (send_end) {
+            out.clear();
+            arpsec::wire::encode_end(out);
             if (!send(out)) {
-                std::fprintf(stderr, "arpsec-loadgen: daemon closed after %llu frames\n",
-                             static_cast<unsigned long long>(sent));
+                std::fprintf(stderr, "arpsec-loadgen: daemon closed before END\n");
                 return 1;
             }
         }
+        return 0;
+    };
+
+    int status = 0;
+    const std::string reader_error = arpsec::exp::run_pair(read_replies, [&] {
+        status = write_frames();
+        writer_done.store(true);
+    });
+    if (status != 0) return status;
+    if (!reader_error.empty()) {
+        std::fprintf(stderr, "arpsec-loadgen: %s\n", reader_error.c_str());
+        return 1;
     }
-    if (send_end) {
-        out.clear();
-        arpsec::wire::encode_end(out);
-        if (!send(out)) {
-            std::fprintf(stderr, "arpsec-loadgen: daemon closed before END\n");
-            return 1;
-        }
-    } else {
+    if (!send_end) {
         c.close();
         std::printf("loadgen: streamed %llu frames, closed without END\n",
                     static_cast<unsigned long long>(sent));
         return 0;
     }
-
-    // Collect the daemon's side of the stream: kAlert records until the
-    // final kSummary (printed to stdout for scripts to parse).
-    arpsec::wire::StreamDecoder decoder;
-    std::vector<std::uint8_t> rbuf(1 << 16);
-    std::uint64_t alerts = 0;
-    bool got_summary = false;
-    while (!got_summary) {
-        const auto io = c.read_some(std::span<std::uint8_t>{rbuf}, 30000);
-        if (io.kind != arpsec::serve::IoResult::Kind::kData) break;
-        decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
-        arpsec::wire::StreamRecord rec;
-        for (;;) {
-            const auto st = decoder.poll(rec);
-            if (st == arpsec::wire::StreamDecoder::Status::kNeedMore) break;
-            if (st == arpsec::wire::StreamDecoder::Status::kFatal) {
-                std::fprintf(stderr, "arpsec-loadgen: %s\n", decoder.last_error().c_str());
-                return 1;
-            }
-            if (st != arpsec::wire::StreamDecoder::Status::kRecord) continue;
-            if (rec.type == arpsec::wire::StreamRecordType::kAlert) ++alerts;
-            if (rec.type == arpsec::wire::StreamRecordType::kSummary) {
-                std::printf("%s\n", rec.text.c_str());
-                got_summary = true;
-            }
-        }
+    if (!stream_error.empty()) {
+        std::fprintf(stderr, "arpsec-loadgen: %s\n", stream_error.c_str());
+        return 1;
     }
+    if (got_summary) std::printf("%s\n", summary.c_str());
     std::fprintf(stderr, "loadgen: streamed %llu frames, received %llu alert records\n",
                  static_cast<unsigned long long>(sent),
                  static_cast<unsigned long long>(alerts));

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serve smoke, run via ctest (arpsec_serve_smoke) and the CI arpsec-serve
 # job: a unix-socket round trip through arpsec-served must produce an alert
-# file byte-identical to offline arpsec-replay, and the snapshot -> freeze
-# -> restore -> resume flow must reproduce the offline run as a set.
+# file byte-identical to offline arpsec-replay, the snapshot -> freeze
+# -> restore -> resume flow must reproduce the offline run as a set, and a
+# ~100k-frame stream with live alerts must finish under a timeout.
 #
 # usage: serve_smoke.sh TRACE_TOOL REPLAY_TOOL SERVED_TOOL LOADGEN_TOOL WORK_DIR [FRAMES]
 set -euo pipefail
@@ -86,3 +87,32 @@ if ! cmp union_sorted.jsonl offline_sorted.jsonl; then
     exit 1
 fi
 echo "serve smoke: snapshot/restore resume matches the offline run"
+
+# --- live alerts under load -----------------------------------------------
+# A client that writes its whole stream before reading anything stalls once
+# about 10k kAlert records are in flight: the daemon's alert drain blocks on
+# the client's full receive buffer, the shards and the intake back up behind
+# it, and the client blocks writing frames. arpsec-loadgen reads alerts on a
+# second thread while it writes, so ~100k frames (the trace, lapped) must
+# finish well inside the timeout, with every alert delivered.
+LAPS=$(( (100000 + FRAMES - 1) / FRAMES ))
+"$SERVED_TOOL" --unix "$SOCK" --schemes arpwatch --alerts soak_alerts.jsonl \
+    > served3.log 2>&1 &
+SERVED_PID=$!
+wait_listen "$SERVED_PID" served3.log
+if ! timeout 60 "$LOADGEN_TOOL" --pcap trace.pcap --unix "$SOCK" --repeat "$LAPS" \
+        > loadgen3.log 2>&1; then
+    # The stalled daemon may ignore SIGTERM while it blocks on the client.
+    kill -9 "$SERVED_PID" 2> /dev/null || true
+    cat loadgen3.log >&2
+    echo "live-alert stream FAILED: arpsec-loadgen did not finish within 60 s" >&2
+    exit 1
+fi
+wait "$SERVED_PID"
+SERVED_ALERTS=$(( $(wc -l < soak_alerts.jsonl) - 1 ))
+if ! grep -q "received $SERVED_ALERTS alert records" loadgen3.log; then
+    cat loadgen3.log >&2
+    echo "live-alert stream FAILED: client did not receive all $SERVED_ALERTS alerts" >&2
+    exit 1
+fi
+echo "serve smoke: $LAPS laps with live alerts finished; $SERVED_ALERTS alerts delivered"
