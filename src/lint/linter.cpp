@@ -188,14 +188,11 @@ void check_determinism(const FileContext& ctx, std::vector<Violation>& out) {
 
 void check_no_threads(const FileContext& ctx, std::vector<Violation>& out) {
     if (ctx.module == "exp") return;
-    // The replay pipeline (prime workers + frontier collector) is the other
-    // sanctioned concurrency site: determinism is preserved by construction
-    // (docs/REPLAY.md, pipeline determinism contract), and the SPSC ring it
-    // rides on lives in common/ring.* (atomics only — no threads, no locks).
-    if (ctx.module == "replay") return;
     // The streaming service is inherently concurrent (intake thread, shard
     // workers, alert drain — docs/SERVING.md). Its threads never enter sim
-    // code: each SchemeSession stays confined to one worker.
+    // code: each SchemeSession stays confined to one worker. The SPSC rings
+    // its shards ride on live in common/ring.* (atomics only — no threads,
+    // no locks).
     if (ctx.module == "serve") return;
     if (ctx.path.find("common/log.") != std::string_view::npos) return;
     if (ctx.path.find("common/ring.") != std::string_view::npos) return;
@@ -222,7 +219,7 @@ void check_no_threads(const FileContext& ctx, std::vector<Violation>& out) {
                        "'" + offender +
                            "' introduces concurrency outside the sanctioned sites; the "
                            "simulation must stay single-threaded per seed (threads only in "
-                           "src/exp/, src/replay/ and src/serve/, locking only in "
+                           "src/exp/ and src/serve/, locking only in "
                            "common/log.*, lock-free ring only in common/ring.*)",
                        std::string{trim(ctx.raw_lines[i])}});
     }
@@ -493,7 +490,7 @@ const std::vector<RuleInfo>& rule_catalog() {
         {"sim-determinism",
          "no wall-clock / global PRNG identifiers outside common/time.*"},
         {"no-threads-in-sim",
-         "concurrency only in src/exp/ + src/replay/ + src/serve/ (threads), "
+         "concurrency only in src/exp/ + src/serve/ (threads), "
          "common/log.* (locking), common/ring.* (lock-free SPSC)"},
         {"no-sockets-outside-serve",
          "OS networking headers only in src/serve/ — the simulator can never "

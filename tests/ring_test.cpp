@@ -1,5 +1,5 @@
 // Tests for the bounded SPSC ring (common/ring.hpp): FIFO order, the
-// capacity/full/empty boundary conditions the pipeline's backpressure rides
+// capacity/full/empty boundary conditions serve's shard backpressure rides
 // on, index wraparound, move-only payloads, and a producer/consumer stress
 // run that the TSan CI job executes with real threads (spawned through
 // exp::run_indexed — the sanctioned thread entry point, so this file stays

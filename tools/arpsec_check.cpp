@@ -25,6 +25,7 @@
 
 #include "check/checker.hpp"
 #include "check/planted.hpp"
+#include "common/cli.hpp"
 #include "common/version.hpp"
 
 namespace {
@@ -104,15 +105,15 @@ int main(int argc, char** argv) {
         if (arg == "--seeds") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.seeds = static_cast<std::size_t>(std::stoul(v));
+            opts.seeds = static_cast<std::size_t>(arpsec::common::parse_count(argv[0], v));
         } else if (arg == "--first-seed") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.first_seed = std::stoull(v);
+            opts.first_seed = arpsec::common::parse_count(argv[0], v, 0);
         } else if (arg == "--jobs") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.jobs = static_cast<std::size_t>(std::stoul(v));
+            opts.jobs = static_cast<std::size_t>(arpsec::common::parse_count(argv[0], v));
         } else if (arg == "--schemes") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);

@@ -5,32 +5,27 @@
 //
 //   $ arpsec-replay --pcap trace.pcap                       # all schemes
 //   $ arpsec-replay --pcap t.pcap --schemes arpwatch,dai --jobs 4 --out replay.json
-//   $ arpsec-replay --pcap t.pcap --jobs 4 --pipeline 2     # overlap priming
 //
-// Schemes fan out via exp::map_indexed, so stdout and the artifact are
+// The trace is parsed into shared FrameViews once, on the calling thread;
+// schemes then fan out via exp::map_indexed, so stdout and the artifact are
 // byte-identical for every --jobs value when --no-timing is given (wall
 // clock is inherently nondeterministic, so timing columns are zeroed).
-// --pipeline N primes FrameView batches on N worker threads while scheme
-// lanes consume them in order; by the pipeline determinism contract
-// (docs/REPLAY.md) stdout and the artifact are also byte-identical for
-// --pipeline 0 vs --pipeline N — the replay_pipeline_smoke ctest diffs
-// exactly that. Pipeline telemetry goes to stderr only.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/version.hpp"
 #include "core/report.hpp"
 #include "detect/registry.hpp"
 #include "replay/engine.hpp"
 #include "replay/source.hpp"
 #include "serve/alert_stream.hpp"
-#include "telemetry/metrics.hpp"
-#include "wire/frame.hpp"
 
 namespace {
 
@@ -38,15 +33,12 @@ int usage(const char* argv0) {
     std::fprintf(
         stderr,
         "usage: %s --pcap PATH [--labels PATH] [--schemes a,b,...] [--jobs J]\n"
-        "          [--pipeline N] [--batch B] [--out PATH] [--window-ms MS]\n"
-        "          [--grace-ms MS] [--no-timing] [--alerts PATH]\n"
+        "          [--out PATH] [--window-ms MS] [--grace-ms MS] [--no-timing]\n"
+        "          [--alerts PATH]\n"
         "  --pcap PATH     trace to replay (classic pcap)\n"
         "  --labels PATH   ground-truth sidecar (default: <pcap>.labels.json)\n"
         "  --schemes LIST  comma-separated scheme pool (default: all registered)\n"
         "  --jobs J        scheme-replay threads; report identical for any J\n"
-        "  --pipeline N    FrameView prime-stage worker threads (default 0 =\n"
-        "                  prime synchronously); report identical for any N\n"
-        "  --batch B       frames per pipeline batch (default 1024)\n"
         "  --out PATH      write the arpsec.replay-artifact.v1 JSON\n"
         "  --window-ms MS  alert<->attack matching window (default 1000)\n"
         "  --grace-ms MS   virtual time appended after the last frame (default 2000)\n"
@@ -56,6 +48,13 @@ int usage(const char* argv0) {
         "  --version       print the build's git describe string and exit\n",
         argv0);
     return 2;
+}
+
+/// A millisecond flag value, bounded so its nanosecond Duration fits int64.
+arpsec::common::Duration parse_millis(const char* prog, const char* text) {
+    constexpr std::uint64_t kMaxMillis = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+    return arpsec::common::Duration::millis(
+        static_cast<std::int64_t>(arpsec::common::parse_count(prog, text, 0, kMaxMillis)));
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -78,7 +77,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> schemes;
     std::size_t jobs = 1;
     arpsec::replay::EngineOptions engine_opts;
-    arpsec::replay::PipelineOptions pipeline_opts;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -98,16 +96,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--jobs") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--pipeline") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            pipeline_opts.workers = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--batch") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            pipeline_opts.batch_frames = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (pipeline_opts.batch_frames == 0) return usage(argv[0]);
+            jobs = static_cast<std::size_t>(arpsec::common::parse_count(argv[0], v));
         } else if (arg == "--out") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
@@ -115,11 +104,11 @@ int main(int argc, char** argv) {
         } else if (arg == "--window-ms") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            engine_opts.match_window = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
+            engine_opts.match_window = parse_millis(argv[0], v);
         } else if (arg == "--grace-ms") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            engine_opts.grace = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
+            engine_opts.grace = parse_millis(argv[0], v);
         } else if (arg == "--alerts") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
@@ -149,29 +138,7 @@ int main(int argc, char** argv) {
     }
 
     const arpsec::replay::Engine engine{registry, engine_opts};
-    arpsec::telemetry::MetricsRegistry pipeline_metrics;
-    const auto outcomes =
-        engine.run_all(trace.value(), schemes, jobs, pipeline_opts, &pipeline_metrics);
-
-    // Pipeline telemetry is timing-dependent (ring occupancy, parse hit
-    // ratio) and therefore goes to stderr only — stdout and the artifact
-    // stay byte-identical across --pipeline/--jobs by contract.
-    if (pipeline_opts.workers > 0) {
-        const auto fv = arpsec::wire::frameview_stats();
-        const std::uint64_t parses = fv.parse_hits + fv.parse_misses;
-        std::fprintf(stderr,
-                     "pipeline: workers=%zu batch=%zu batches=%llu ring-highwater=%lld "
-                     "parse-hit-ratio=%.4f\n",
-                     pipeline_opts.workers, pipeline_opts.batch_frames,
-                     static_cast<unsigned long long>(
-                         pipeline_metrics.counter("replay.pipeline.batches").value()),
-                     static_cast<long long>(
-                         pipeline_metrics.gauge("replay.pipeline.ring_occupancy_highwater")
-                             .high_water()),
-                     parses == 0 ? 0.0
-                                 : static_cast<double>(fv.parse_hits) /
-                                       static_cast<double>(parses));
-    }
+    const auto outcomes = engine.run_all(trace.value(), schemes, jobs);
 
     bool failed = false;
     std::vector<arpsec::replay::SchemeScore> scores;
