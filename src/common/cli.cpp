@@ -21,4 +21,9 @@ std::uint64_t parse_count(const char* prog, const char* text, std::uint64_t min,
     return v;
 }
 
+Duration parse_millis(const char* prog, const char* text) {
+    constexpr std::uint64_t kMaxMillis = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+    return Duration::millis(static_cast<std::int64_t>(parse_count(prog, text, 0, kMaxMillis)));
+}
+
 }  // namespace arpsec::common

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/time.hpp"
+
 namespace arpsec::common {
 
 /// Parses a CLI flag's base-10 unsigned value. Empty, non-numeric,
@@ -12,5 +14,9 @@ namespace arpsec::common {
 [[nodiscard]] std::uint64_t parse_count(
     const char* prog, const char* text, std::uint64_t min = 1,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// A non-negative millisecond flag value, through parse_count, bounded so
+/// its nanosecond Duration fits in int64.
+[[nodiscard]] Duration parse_millis(const char* prog, const char* text);
 
 }  // namespace arpsec::common

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <chrono>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -50,6 +49,7 @@ common::Expected<bool> Server::build_shards(std::uint64_t seed,
     shard_options.ring_capacity = options_.ring_capacity;
     shard_options.alert_ring_capacity = options_.alert_ring_capacity;
     shard_options.drop_when_full = options_.drop_when_full;
+    shard_options.alert_parker = &alert_parker_;
 
     shards_.clear();
     shards_.reserve(options_.shards);
@@ -186,8 +186,10 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     };
 
     // The drain thread starts together with the shard workers; until the
-    // first frame (or a snapshot restore) there is nothing to drain.
-    std::atomic<bool> workers_done{false};
+    // first frame (or a snapshot restore) there is nothing to drain. It
+    // sleeps on alert_parker_ until a shard publishes alerts or closes its
+    // alert ring (worker exit), and ends once every ring is closed and
+    // empty.
     std::thread drain_thread;
     bool workers_started = false;
     std::vector<telemetry::Gauge*> depth_gauges;
@@ -202,12 +204,24 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                 "serve.shard." + std::to_string(shard->index()) + ".queue_depth"));
         }
         drain_thread = std::thread([&] {
+            const auto all_closed = [&] {
+                for (const auto& shard : shards_) {
+                    if (!shard->alerts_closed()) return false;
+                }
+                return true;
+            };
+            const auto any_alerts = [&] {
+                for (const auto& shard : shards_) {
+                    if (shard->has_alerts()) return true;
+                }
+                return false;
+            };
             std::vector<detect::Alert> batch;
             for (;;) {
-                // Load the flag before sweeping: if the workers were
-                // already joined, this sweep observes every alert they
-                // pushed, so an empty sweep really means drained.
-                const bool done = workers_done.load(std::memory_order_acquire);
+                // Read the closed flags before sweeping: a ring closes
+                // after its last push, so if all were closed, this sweep
+                // observes every alert and an empty sweep means drained.
+                const bool done = all_closed();
                 batch.clear();
                 for (auto& shard : shards_) shard->drain_alerts(batch, 1024);
                 if (!batch.empty()) {
@@ -222,7 +236,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                     continue;
                 }
                 if (done) break;
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                alert_parker_.wait_until([&] { return any_alerts() || all_closed(); });
             }
         });
     };
@@ -250,6 +264,54 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     bool done_reading = false;
     int quiet_ms = 0;
     std::uint64_t frames_since_scorecard = 0;
+    admitted_.store(0, std::memory_order_relaxed);
+
+    // The frames of one read chunk: their bytes are appended to `chunk`,
+    // and flush_chunk() captures them all from one FrameSlab over it, so a
+    // frame costs no allocation of its own and every buffer of the chunk
+    // is freed together when the shards drop the last of its views.
+    struct PendingFrame {
+        common::SimTime at;
+        std::size_t offset;
+        std::size_t len;
+    };
+    std::vector<PendingFrame> pending;
+    auto chunk = std::make_shared<wire::Bytes>();
+
+    // Admits the pending frames in arrival order (capture, prime, route,
+    // submit) and then wakes each shard once.
+    const auto flush_chunk = [&] {
+        if (pending.empty()) return;
+        const std::shared_ptr<const wire::Bytes> storage = std::move(chunk);
+        chunk = std::make_shared<wire::Bytes>();
+        const wire::FrameSlab slab{pending.size(), storage};
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+            const PendingFrame& p = pending[i];
+            c_frames.inc();
+            wire::FrameView view{slab.capture(
+                i, std::span<const std::uint8_t>{storage->data() + p.offset, p.len})};
+            view.prime();  // memoize on this thread; workers read only
+            const std::size_t target = shard_of(view, shards_.size());
+            // Sampled observability (1-in-256 frames): the clock read for
+            // the latency histogram and the cross-thread queue-depth probe
+            // both cost measurable intake throughput at 1M+ frames/s.
+            const bool sampled = (c_frames.value() & 255u) == 0u;
+            (void)shards_[target]->submit(
+                WorkItem{p.at, std::move(view), sampled ? watch_.elapsed_seconds() : -1.0});
+            if (sampled) {
+                depth_gauges[target]->set(
+                    static_cast<std::int64_t>(shards_[target]->queue_depth()));
+            }
+            if (options_.scorecard_every > 0 &&
+                ++frames_since_scorecard >= options_.scorecard_every) {
+                frames_since_scorecard = 0;
+                write_scorecard_line(c_frames.value());
+            }
+        }
+        for (auto& shard : shards_) shard->publish();
+        admitted_.fetch_add(pending.size(), std::memory_order_relaxed);
+        pending.clear();
+    };
 
     while (!done_reading) {
         if (stop_.load(std::memory_order_relaxed)) {
@@ -278,6 +340,9 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         quiet_ms = 0;
         c_bytes.inc(io.bytes);
         decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
+        // Every frame decoded from this chunk fits in what is buffered, so
+        // the chunk buffer never reallocates.
+        chunk->reserve(decoder.buffered());
 
         wire::StreamRecord rec;
         while (!done_reading) {
@@ -340,33 +405,15 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                         done_reading = true;
                         break;
                     }
-                    c_frames.inc();
-                    wire::FrameBuffer buffer =
-                        wire::FrameBuffer::capture(std::move(rec.frame.bytes));
-                    wire::FrameView view{std::move(buffer)};
-                    view.prime();  // memoize on this thread; workers read only
-                    const auto at =
-                        common::SimTime{static_cast<std::int64_t>(rec.frame.at_nanos)};
-                    const std::size_t target = shard_of(view, shards_.size());
-                    // Sampled observability (1-in-256 frames): the clock
-                    // read for the latency histogram and the cross-thread
-                    // queue-depth probe both cost measurable intake
-                    // throughput at 1M+ frames/s.
-                    const bool sampled = (c_frames.value() & 255u) == 0u;
-                    (void)shards_[target]->submit(
-                        at, view, sampled ? watch_.elapsed_seconds() : -1.0);
-                    if (sampled) {
-                        depth_gauges[target]->set(
-                            static_cast<std::int64_t>(shards_[target]->queue_depth()));
-                    }
-                    if (options_.scorecard_every > 0 &&
-                        ++frames_since_scorecard >= options_.scorecard_every) {
-                        frames_since_scorecard = 0;
-                        write_scorecard_line(c_frames.value());
-                    }
+                    const std::vector<std::uint8_t>& bytes = rec.frame.bytes;
+                    pending.push_back(
+                        {common::SimTime{static_cast<std::int64_t>(rec.frame.at_nanos)},
+                         chunk->size(), bytes.size()});
+                    chunk->insert(chunk->end(), bytes.begin(), bytes.end());
                     break;
                 }
                 case wire::StreamRecordType::kEnd: {
+                    flush_chunk();
                     if (!got_hello) {
                         // Still the end of the stream: waiting for more
                         // data after the client said END would hang.
@@ -385,6 +432,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                     break;
             }
         }
+        flush_chunk();
     }
 
     // Wind down: no grace after a stop (the snapshot must capture exactly
@@ -392,7 +440,6 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     const bool run_grace = outcome.ended_by_end_record && !outcome.stopped;
     for (auto& shard : shards_) shard->finish_input(run_grace, options_.grace);
     for (auto& shard : shards_) shard->join();
-    workers_done.store(true, std::memory_order_release);
     if (drain_thread.joinable()) drain_thread.join();
 
     // Fold worker-side stats into the registry now that the threads are gone.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/expected.hpp"
+#include "common/ring.hpp"
 #include "common/time.hpp"
 #include "detect/alert.hpp"
 #include "detect/registry.hpp"
@@ -77,16 +78,20 @@ struct ServeOutcome {
 /// client stream end to end:
 ///
 ///   intake thread (the caller) — reads the transport, decodes
-///     `arpsec.stream.v1` records, primes each frame's FrameView once, and
-///     routes it to a shard by subnet key (single producer to every ring);
+///     `arpsec.stream.v1` records, copies each read chunk's frame bytes
+///     into one buffer under one FrameSlab, primes each frame's FrameView
+///     once, and routes it to a shard by subnet key (single producer to
+///     every ring; it wakes the shards once per chunk);
 ///   N shard workers — each owns its SchemeSessions and feeds them frames
-///     (single consumer of its ring);
+///     (single consumer of its ring; sleeps while the ring is empty);
 ///   drain thread — pops alert rings, collects alerts, and writes kAlert
-///     records back to the client.
+///     records back to the client (sleeps until a shard publishes alerts
+///     or every worker has exited).
 ///
-/// Backpressure is explicit: a full shard ring either blocks the intake
-/// thread (default — the transport then pushes back on the client, so no
-/// admitted frame is ever lost) or drops with per-shard accounting.
+/// Backpressure is explicit: a full shard ring either puts the intake
+/// thread to sleep (default — the transport then pushes back on the
+/// client, so no admitted frame is ever lost) or drops with per-shard
+/// accounting.
 /// Malformed records are skipped with typed errors; only a corrupt length
 /// prefix (framing lost) abandons the stream — the daemon itself survives
 /// both.
@@ -104,7 +109,8 @@ public:
     [[nodiscard]] common::Expected<ServeOutcome> serve(Connection& conn);
 
     /// Asynchronously asks the current serve() to wind down: the intake
-    /// loop exits at the next poll, shards drain what was admitted and
+    /// loop exits before its next read (never inside a read chunk, whose
+    /// frames are all admitted first), shards drain what was admitted and
     /// freeze (no grace window), so a snapshot captures exactly the fed
     /// state. Safe to call from a signal handler (one relaxed store).
     void request_stop() { stop_.store(true, std::memory_order_relaxed); }
@@ -118,6 +124,14 @@ public:
     /// Writes `arpsec.serve-snapshot.v1` for the last completed serve().
     /// Call after serve() returns (the workers are joined by then).
     [[nodiscard]] common::Expected<bool> write_snapshot(const std::string& path) const;
+
+    /// Frames the current (or last) serve() has handed to the shards —
+    /// processed or dropped. Any thread; it advances once per read chunk,
+    /// so a caller can wait for a stream's frames to be admitted before
+    /// request_stop().
+    [[nodiscard]] std::uint64_t admitted_frames() const {
+        return admitted_.load(std::memory_order_relaxed);
+    }
 
     /// Intake-side counters/gauges (`serve.intake.*`, `serve.shard.*`),
     /// complete after serve() returns.
@@ -147,6 +161,9 @@ private:
     telemetry::MetricsRegistry metrics_;
     common::Stopwatch watch_;
     std::atomic<bool> stop_{false};
+    std::atomic<std::uint64_t> admitted_{0};
+    // The drain thread sleeps here; every shard's alert ring wakes it.
+    common::Parker alert_parker_;
 
     // State of the last serve() (valid after it returns; workers joined).
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -47,7 +47,7 @@ Shard::Shard(std::size_t index, const detect::Registry& registry,
     : index_(index),
       scheme_names_(schemes),
       ring_(options.ring_capacity),
-      alert_ring_(options.alert_ring_capacity),
+      alert_ring_(options.alert_ring_capacity, options.alert_parker),
       drop_when_full_(options.drop_when_full),
       latency_(latency_bounds()) {
     sessions_.reserve(schemes.size());
@@ -67,24 +67,27 @@ void Shard::start(const common::Stopwatch* clock) {
     thread_ = std::thread([this] { run(); });
 }
 
-bool Shard::submit(common::SimTime at, const wire::FrameView& view, double enqueued_s) {
-    // A failed try_push leaves the item untouched, so retrying the same
-    // object after a yield is safe.
-    WorkItem item{at, view, enqueued_s};
-    if (ring_.try_push(std::move(item))) return true;
-    if (drop_when_full_) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return false;
+bool Shard::submit(WorkItem item) {
+    if (!drop_when_full_) {
+        if (ring_.push(std::move(item))) {
+            backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+        }
+        return true;
     }
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    while (!ring_.try_push(std::move(item))) std::this_thread::yield();
-    return true;
+    // Dropping never sleeps, so nothing else wakes a worker that sleeps on
+    // this batch's unpublished frames: publish once the ring is half full,
+    // leaving the worker half a ring of slack before frames are dropped.
+    const bool pushed = ring_.try_push(std::move(item));
+    if (ring_.size() * 2 >= ring_.capacity()) ring_.publish();
+    if (pushed) return true;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
 }
 
 void Shard::finish_input(bool run_grace, common::Duration grace) {
     run_grace_ = run_grace;
     grace_ = grace;
-    input_done_.store(true, std::memory_order_release);
+    ring_.close();
 }
 
 void Shard::join() {
@@ -103,24 +106,31 @@ std::size_t Shard::drain_alerts(std::vector<detect::Alert>& out, std::size_t max
 }
 
 void Shard::run() {
+    // Alerts go out in batches: the drain thread is woken when this worker
+    // runs out of frames (it is about to sleep) and at least every
+    // kAlertPublishEvery frames under sustained load, and only when there
+    // is something new for it.
+    constexpr std::uint64_t kAlertPublishEvery = 256;
+    std::uint64_t since_publish = 0;
+    const auto publish_alerts = [&] {
+        if (alerts_unpublished_) alert_ring_.publish();
+        alerts_unpublished_ = false;
+        since_publish = 0;
+    };
     WorkItem item;
     for (;;) {
-        if (ring_.try_pop(item)) {
-            process(item);
-            continue;
+        if (!ring_.try_pop(item)) {
+            publish_alerts();
+            if (!ring_.pop(item)) break;  // closed and drained
         }
-        if (input_done_.load(std::memory_order_acquire)) {
-            // One more sweep: the producer may have pushed between our
-            // failed pop and the flag load.
-            while (ring_.try_pop(item)) process(item);
-            break;
-        }
-        std::this_thread::yield();
+        process(item);
+        if (++since_publish == kAlertPublishEvery) publish_alerts();
     }
     if (run_grace_) {
         for (auto& session : sessions_) session->finish(grace_);
     }
     wire::flush_frameview_hits();
+    alert_ring_.close();
 }
 
 void Shard::process(const WorkItem& item) {
@@ -137,13 +147,12 @@ void Shard::process(const WorkItem& item) {
 
 void Shard::enqueue_alert(detect::Alert alert) {
     alerts_emitted_.fetch_add(1, std::memory_order_relaxed);
-    while (!alert_ring_.try_push(std::move(alert))) {
-        // The drain thread runs for the whole serve; a full ring is
-        // transient. Count the stall and wait for space — alerts are the
-        // product, dropping them is never acceptable.
+    // Alerts are the product; dropping them is never acceptable. A full
+    // ring sleeps here until the drain thread makes room.
+    if (alert_ring_.push(std::move(alert))) {
         alert_backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
     }
+    alerts_unpublished_ = true;
 }
 
 }  // namespace arpsec::serve

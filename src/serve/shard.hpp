@@ -19,7 +19,9 @@ namespace arpsec::serve {
 
 /// One frame handed from the intake thread to a shard worker. The view
 /// must be primed before submission — after priming, the worker's accesses
-/// are read-only memo hits (the FrameBuffer cross-thread contract).
+/// are read-only memo hits (the FrameBuffer cross-thread contract). The
+/// intake captures the views of one read chunk from one FrameSlab, so the
+/// item carries a refcount on that chunk, not bytes of its own.
 struct WorkItem {
     common::SimTime at;
     wire::FrameView view;
@@ -42,8 +44,10 @@ struct WorkItem {
 /// scheme, and an outbound alert ring. The intake thread is the only
 /// producer, the worker thread the only consumer (and the only toucher of
 /// the sessions); alerts flow out through another SPSC ring drained by the
-/// server's drain thread. All cross-thread stats are relaxed atomics; the
-/// drain-latency histogram is worker-owned and merged after join().
+/// server's drain thread. Every wait blocks on the rings' Parkers: an idle
+/// worker sleeps in pop(), a full ring puts its producer to sleep in
+/// push(). All cross-thread stats are relaxed atomics; the drain-latency
+/// histogram is worker-owned and merged after join().
 class Shard {
 public:
     struct Options {
@@ -53,6 +57,10 @@ public:
         /// intake thread (zero admitted-frame loss — the transport's own
         /// backpressure pushes back on the client); true counts and drops.
         bool drop_when_full = false;
+        /// The drain thread's Parker, shared by every shard's alert ring so
+        /// one thread can sleep until any shard has alerts (must outlive
+        /// the shard; null gives the ring a Parker of its own).
+        common::Parker* alert_parker = nullptr;
     };
 
     /// Builds the sessions eagerly on the constructing thread. `registry`
@@ -68,14 +76,18 @@ public:
     /// Spawns the worker thread. `clock` must outlive the shard.
     void start(const common::Stopwatch* clock);
 
-    /// Intake thread only. Blocks when the ring is full (or drops, per
-    /// options). Returns false iff the frame was dropped.
-    bool submit(common::SimTime at, const wire::FrameView& view, double enqueued_s);
+    /// Intake thread only. Sleeps while the ring is full (or drops, per
+    /// options). Returns false iff the frame was dropped. Does not wake a
+    /// sleeping worker; call publish() after a batch.
+    bool submit(WorkItem item);
+
+    /// Intake thread only: wakes the worker if it sleeps on an empty ring.
+    void publish() { ring_.publish(); }
 
     /// Intake thread: no more submissions. The worker drains its ring,
-    /// optionally runs each session's grace window (delayed alerts), and
-    /// exits. `run_grace` is false on snapshot-bound stops so learned
-    /// state freezes at the last fed frame.
+    /// optionally runs each session's grace window (delayed alerts),
+    /// closes its alert ring and exits. `run_grace` is false on
+    /// snapshot-bound stops so learned state freezes at the last fed frame.
     void finish_input(bool run_grace, common::Duration grace);
 
     /// Joins the worker thread (idempotent).
@@ -83,6 +95,11 @@ public:
 
     /// Drain thread only: pops up to `max` pending alerts into `out`.
     std::size_t drain_alerts(std::vector<detect::Alert>& out, std::size_t max);
+
+    /// Any thread: alerts are waiting in the alert ring.
+    [[nodiscard]] bool has_alerts() const { return !alert_ring_.empty(); }
+    /// Any thread: the worker has exited and will push no more alerts.
+    [[nodiscard]] bool alerts_closed() const { return alert_ring_.closed(); }
 
     // Live stats (any thread; relaxed atomics).
     [[nodiscard]] std::uint64_t frames() const { return frames_.load(std::memory_order_relaxed); }
@@ -129,8 +146,8 @@ private:
     const common::Stopwatch* clock_ = nullptr;
     telemetry::Histogram latency_;
 
-    std::atomic<bool> input_done_{false};
-    bool run_grace_ = false;          // written before input_done_ release-store
+    bool alerts_unpublished_ = false;  // worker-owned: pushed since the last publish
+    bool run_grace_ = false;           // written before ring_.close()'s release-store
     common::Duration grace_ = common::Duration::zero();
 
     std::atomic<std::uint64_t> frames_{0};

@@ -7,12 +7,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
+#include <memory>
 #include <utility>
 
 namespace arpsec::serve {
@@ -157,21 +158,34 @@ private:
 /// One direction of the pipe: a bounded byte queue with blocking reads and
 /// writes. Two of these, crossed over, make a full-duplex connection.
 struct PipeChannel {
-    explicit PipeChannel(std::size_t cap) : capacity(cap) {}
+    explicit PipeChannel(std::size_t cap)
+        : capacity(cap == 0 ? 1 : cap),
+          buf(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)) {}
 
     std::mutex m;
     std::condition_variable cv;
-    std::deque<std::uint8_t> buf;
+    // Circular byte buffer: `size` bytes starting at `head`, wrapping at
+    // `capacity`. Writers and readers copy whole spans, at most two
+    // memcpys per call.
     std::size_t capacity;
+    std::unique_ptr<std::uint8_t[]> buf;
+    std::size_t head = 0;
+    std::size_t size = 0;
     bool closed = false;
 
     bool write_all(std::span<const std::uint8_t> data) {
         std::size_t off = 0;
         std::unique_lock<std::mutex> lk(m);
         while (off < data.size()) {
-            cv.wait(lk, [&] { return closed || buf.size() < capacity; });
+            cv.wait(lk, [&] { return closed || size < capacity; });
             if (closed) return false;
-            while (off < data.size() && buf.size() < capacity) buf.push_back(data[off++]);
+            const std::size_t n = std::min(data.size() - off, capacity - size);
+            const std::size_t tail = (head + size) % capacity;
+            const std::size_t first = std::min(n, capacity - tail);
+            std::memcpy(buf.get() + tail, data.data() + off, first);
+            std::memcpy(buf.get(), data.data() + off + first, n - first);
+            size += n;
+            off += n;
             cv.notify_all();
         }
         return true;
@@ -180,22 +194,23 @@ struct PipeChannel {
     IoResult read_some(std::span<std::uint8_t> out, int timeout_ms) {
         IoResult res;
         std::unique_lock<std::mutex> lk(m);
-        const auto ready = [&] { return closed || !buf.empty(); };
+        const auto ready = [&] { return closed || size != 0; };
         if (timeout_ms < 0) {
             cv.wait(lk, ready);
         } else if (!cv.wait_for(lk, std::chrono::milliseconds(timeout_ms), ready)) {
             res.kind = IoResult::Kind::kTimeout;
             return res;
         }
-        if (buf.empty()) {
+        if (size == 0) {
             res.kind = IoResult::Kind::kEof;  // closed and drained
             return res;
         }
-        std::size_t n = 0;
-        while (n < out.size() && !buf.empty()) {
-            out[n++] = buf.front();
-            buf.pop_front();
-        }
+        const std::size_t n = std::min(out.size(), size);
+        const std::size_t first = std::min(n, capacity - head);
+        std::memcpy(out.data(), buf.get() + head, first);
+        std::memcpy(out.data() + first, buf.get(), n - first);
+        head = (head + n) % capacity;
+        size -= n;
         cv.notify_all();
         res.kind = IoResult::Kind::kData;
         res.bytes = n;

@@ -1,9 +1,10 @@
 // Tests for the bounded SPSC ring (common/ring.hpp): FIFO order, the
 // capacity/full/empty boundary conditions serve's shard backpressure rides
-// on, index wraparound, move-only payloads, and a producer/consumer stress
-// run that the TSan CI job executes with real threads (spawned through
-// exp::run_indexed — the sanctioned thread entry point, so this file stays
-// clean under the no-threads-in-sim lint rule).
+// on, index wraparound, move-only payloads, and producer/consumer stress
+// runs — spinning on the try_ ends and sleeping on the blocking ends — that
+// the TSan CI job executes with real threads (spawned through
+// exp::run_indexed and exp::run_pair — the sanctioned thread entry points,
+// so this file stays clean under the no-threads-in-sim lint rule).
 
 #include "common/ring.hpp"
 
@@ -143,6 +144,131 @@ TEST(SpscRingTest, ProducerConsumerStressKeepsSequence) {
     EXPECT_EQ(errors[0], "");
     EXPECT_EQ(errors[1], "");
     EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRingTest, ClosedRingDrainsThenReportsEnd) {
+    SpscRing<int> ring{4};
+    ASSERT_TRUE(ring.try_push(1));
+    ASSERT_TRUE(ring.try_push(2));
+    EXPECT_FALSE(ring.closed());
+    ring.close();
+    EXPECT_TRUE(ring.closed());
+    int out = 0;
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out, 1);
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out, 2);
+    EXPECT_FALSE(ring.pop(out));  // closed and drained: no sleep, no item
+    EXPECT_EQ(out, 2);
+}
+
+// The blocking ends under load, at capacities 2-4. The producer publishes
+// only every kPublishEvery pushes — more than the ring holds — so a full
+// ring whose consumer sleeps on unpublished items is only ever woken by
+// push()'s own publish-before-sleep. Periodic 1 ms pauses force both
+// waits: the consumer's pause lets the ring fill (the producer must sleep
+// in push), the producer's pause lets it drain (the consumer must sleep in
+// pop). The consumer checks the exact sequence and that pop() ends only
+// after close(); a lost wakeup hangs the test, a data race trips TSan.
+TEST(SpscRingTest, BlockingEndsKeepSequenceThroughBothWaits) {
+    constexpr std::uint32_t kItems = 60000;
+    constexpr std::uint32_t kPublishEvery = 7;
+    constexpr std::uint32_t kPauseEvery = 4096;
+    for (const std::size_t capacity : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+        SpscRing<std::uint32_t> ring{capacity};
+        std::uint64_t producer_waits = 0;
+        std::uint32_t delivered = 0;
+        std::uint32_t out_of_order = 0;
+        const std::string consumer_error = exp::run_pair(
+            [&] {
+                // Keeps draining after a mismatch: a consumer that stopped
+                // would leave the producer asleep on a full ring.
+                std::uint32_t got = 0;
+                while (ring.pop(got)) {
+                    if (got != delivered) ++out_of_order;
+                    ++delivered;
+                    if (delivered % kPauseEvery == kPauseEvery / 2) exp::sleep_millis(1);
+                }
+            },
+            [&] {
+                for (std::uint32_t v = 0; v < kItems; ++v) {
+                    if (ring.push(std::uint32_t{v})) ++producer_waits;
+                    if (v % kPublishEvery == kPublishEvery - 1) ring.publish();
+                    if (v % kPauseEvery == 0) exp::sleep_millis(1);
+                }
+                ring.close();
+            });
+        EXPECT_EQ(consumer_error, "") << "capacity " << capacity;
+        EXPECT_EQ(delivered, kItems) << "capacity " << capacity;
+        EXPECT_EQ(out_of_order, 0u) << "capacity " << capacity;
+        EXPECT_GT(producer_waits, 0u) << "capacity " << capacity;
+        EXPECT_TRUE(ring.empty());
+    }
+}
+
+// close() while the consumer is asleep in pop() on an empty ring: the items
+// pushed before close() (never published) must all be delivered, in FIFO
+// order, before pop() reports the end.
+TEST(SpscRingTest, CloseWakesASleepingConsumerAndDeliversEverything) {
+    SpscRing<std::unique_ptr<std::uint32_t>> ring{8};
+    std::vector<std::uint32_t> got;
+    const std::string consumer_error = exp::run_pair(
+        [&] {
+            std::unique_ptr<std::uint32_t> item;
+            while (ring.pop(item)) got.push_back(*item);
+        },
+        [&] {
+            exp::sleep_millis(20);  // the consumer is asleep in pop() by now
+            for (std::uint32_t v = 0; v < 5; ++v) {
+                EXPECT_TRUE(ring.try_push(std::make_unique<std::uint32_t>(v)));
+            }
+            ring.close();
+        });
+    EXPECT_EQ(consumer_error, "");
+    EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+}
+
+// One consumer draining several rings through one shared Parker (serve's
+// drain thread): it sleeps until any ring has an item or all are closed.
+TEST(SpscRingTest, SharedParkerWakesAMultiRingConsumer) {
+    Parker parker;
+    SpscRing<std::uint32_t> a{4, &parker};
+    SpscRing<std::uint32_t> b{4, &parker};
+    std::vector<std::uint32_t> got;
+    const std::string consumer_error = exp::run_pair(
+        [&] {
+            for (;;) {
+                const bool done = a.closed() && b.closed();
+                const std::size_t before = got.size();
+                std::uint32_t v = 0;
+                while (a.try_pop(v)) got.push_back(v);
+                while (b.try_pop(v)) got.push_back(v);
+                if (got.size() != before) continue;
+                if (done) break;
+                parker.wait_until([&] {
+                    return !a.empty() || !b.empty() || (a.closed() && b.closed());
+                });
+            }
+        },
+        [&] {
+            for (std::uint32_t v = 0; v < 200; ++v) {
+                SpscRing<std::uint32_t>& ring = v % 2 == 0 ? a : b;
+                ring.push(std::uint32_t{v});
+                ring.publish();
+                if (v % 50 == 0) exp::sleep_millis(1);
+            }
+            a.close();
+            b.close();
+        });
+    EXPECT_EQ(consumer_error, "");
+    ASSERT_EQ(got.size(), 200u);
+    std::uint32_t next_even = 0;
+    std::uint32_t next_odd = 1;
+    for (const std::uint32_t v : got) {  // FIFO per ring
+        std::uint32_t& next = v % 2 == 0 ? next_even : next_odd;
+        EXPECT_EQ(v, next);
+        next += 2;
+    }
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/time.h>
 
 #include <optional>
 #include <string>
@@ -96,6 +98,25 @@ std::vector<detect::Alert> offline_alerts(const replay::LabeledTrace& trace,
     const auto score = replay::Engine{registry, opts}.run(trace, "arpwatch");
     EXPECT_TRUE(score.ok()) << score.error();
     return score.value().alert_list;
+}
+
+// Waits (up to 60 s) until `server` has admitted `frames` frames of the
+// stream it is serving.
+void wait_admitted(const Server& server, std::uint64_t frames) {
+    for (int waited_ms = 0; server.admitted_frames() < frames && waited_ms < 60000;
+         ++waited_ms) {
+        exp::sleep_millis(1);
+    }
+}
+
+// User plus system CPU seconds of this whole process.
+double process_cpu_seconds() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 ServerOptions base_options() {
@@ -426,8 +447,10 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
         [&] {
             (void)pipe.client->write_all(
                 std::span<const std::uint8_t>{script.data(), script.size()});
-            // Leave the stream open; ask for shutdown instead of sending END.
-            exp::sleep_millis(50);
+            // Leave the stream open; once every written frame is admitted,
+            // ask for shutdown instead of sending END. The deadline is for
+            // slow (sanitizer) builds; admission normally takes microseconds.
+            wait_admitted(*server.value(), trace.frames.size());
             server.value()->request_stop();
         },
         [&] { served = server.value()->serve(*pipe.server); });
@@ -440,6 +463,45 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     EXPECT_EQ(static_cast<std::size_t>(
                   outcome.value().summary.find("frames")->as_int()),
               trace.frames.size());
+}
+
+TEST(ServeLifecycleTest, IdleConnectionUsesNoCpu) {
+    // An open but quiet client: every daemon thread must sleep. The intake
+    // wakes once per read timeout; shards and the drain thread block until
+    // there is work. Spinning workers would burn ~1 CPU-second here.
+    const auto trace = small_trace();
+    const detect::Registry registry;
+    ServerOptions opts = base_options();
+    opts.shards = 2;
+    opts.read_timeout_ms = 100;
+    auto server = Server::create(registry, opts);
+    ASSERT_TRUE(server.ok()) << server.error();
+
+    PipePair pipe = make_pipe(kRoomyPipe);
+    constexpr std::size_t kFrames = 20;
+    const wire::Bytes script = encode_stream(trace, 0, kFrames, true, /*with_end=*/false);
+    double idle_cpu_s = -1.0;
+    std::optional<common::Expected<ServeOutcome>> served;
+    const std::string peer = exp::run_pair(
+        [&] {
+            (void)pipe.client->write_all(
+                std::span<const std::uint8_t>{script.data(), script.size()});
+            wait_admitted(*server.value(), kFrames);
+            exp::sleep_millis(50);  // the shards finish the frames and go idle
+            const double before = process_cpu_seconds();
+            exp::sleep_millis(500);
+            idle_cpu_s = process_cpu_seconds() - before;
+            server.value()->request_stop();
+        },
+        [&] { served = server.value()->serve(*pipe.server); });
+    EXPECT_EQ(peer, "");
+    const auto& outcome = *served;
+    ASSERT_TRUE(outcome.ok()) << outcome.error();
+    EXPECT_TRUE(outcome.value().stopped);
+    EXPECT_EQ(static_cast<std::size_t>(outcome.value().summary.find("frames")->as_int()),
+              kFrames);
+    EXPECT_GE(idle_cpu_s, 0.0);
+    EXPECT_LT(idle_cpu_s, 0.050) << "daemon burned CPU while the connection was idle";
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/version.hpp"
 #include "exp/executor.hpp"
 #include "replay/source.hpp"
@@ -26,6 +27,8 @@
 #include "wire/stream_codec.hpp"
 
 namespace {
+
+using arpsec::common::parse_count;
 
 int usage(const char* argv0) {
     std::fprintf(
@@ -54,7 +57,8 @@ int main(int argc, char** argv) {
     std::string pcap_path;
     std::string labels_path;
     std::string unix_path;
-    std::string tcp_target;
+    std::string tcp_host;
+    std::uint16_t tcp_port = 0;
     std::size_t skip = 0;
     std::size_t count = SIZE_MAX;
     std::size_t repeat = 1;
@@ -76,21 +80,24 @@ int main(int argc, char** argv) {
             unix_path = v;
         } else if (arg == "--tcp") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            tcp_target = v;
+            const std::string target = v;
+            const auto colon = target.rfind(':');
+            if (colon == std::string::npos) return usage(argv[0]);
+            tcp_host = target.substr(0, colon);
+            tcp_port = static_cast<std::uint16_t>(
+                parse_count(argv[0], target.c_str() + colon + 1, 1, 65535));
         } else if (arg == "--skip") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            skip = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            skip = static_cast<std::size_t>(parse_count(argv[0], v, 0));
         } else if (arg == "--count") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            count = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            count = static_cast<std::size_t>(parse_count(argv[0], v, 0));
         } else if (arg == "--repeat") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            repeat = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (repeat == 0) return usage(argv[0]);
+            repeat = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (arg == "--batch-frames") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            batch_frames = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (batch_frames == 0) return usage(argv[0]);
+            batch_frames = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (arg == "--no-end") {
             send_end = false;
         } else if (arg == "--version") {
@@ -100,7 +107,7 @@ int main(int argc, char** argv) {
             return usage(argv[0]);
         }
     }
-    if (pcap_path.empty() || unix_path.empty() == tcp_target.empty()) return usage(argv[0]);
+    if (pcap_path.empty() || unix_path.empty() == tcp_host.empty()) return usage(argv[0]);
     if (labels_path.empty()) labels_path = pcap_path + ".labels.json";
 
     arpsec::replay::PcapFileSource source{pcap_path, labels_path};
@@ -114,20 +121,8 @@ int main(int argc, char** argv) {
     const std::size_t end =
         count < frames.size() - begin ? begin + count : frames.size();
 
-    auto conn = unix_path.empty()
-                    ? [&] {
-                          const auto colon = tcp_target.rfind(':');
-                          const std::string host =
-                              colon == std::string::npos ? tcp_target
-                                                         : tcp_target.substr(0, colon);
-                          const int port =
-                              colon == std::string::npos
-                                  ? 0
-                                  : std::atoi(tcp_target.c_str() + colon + 1);
-                          return arpsec::serve::connect_tcp(
-                              host, static_cast<std::uint16_t>(port));
-                      }()
-                    : arpsec::serve::connect_unix(unix_path);
+    auto conn = unix_path.empty() ? arpsec::serve::connect_tcp(tcp_host, tcp_port)
+                                  : arpsec::serve::connect_unix(unix_path);
     if (!conn.ok()) {
         std::fprintf(stderr, "arpsec-loadgen: %s\n", conn.error().c_str());
         return 2;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,13 +47,6 @@ int usage(const char* argv0) {
         "  --version       print the build's git describe string and exit\n",
         argv0);
     return 2;
-}
-
-/// A millisecond flag value, bounded so its nanosecond Duration fits int64.
-arpsec::common::Duration parse_millis(const char* prog, const char* text) {
-    constexpr std::uint64_t kMaxMillis = std::numeric_limits<std::int64_t>::max() / 1'000'000;
-    return arpsec::common::Duration::millis(
-        static_cast<std::int64_t>(arpsec::common::parse_count(prog, text, 0, kMaxMillis)));
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -104,11 +96,11 @@ int main(int argc, char** argv) {
         } else if (arg == "--window-ms") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            engine_opts.match_window = parse_millis(argv[0], v);
+            engine_opts.match_window = arpsec::common::parse_millis(argv[0], v);
         } else if (arg == "--grace-ms") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            engine_opts.grace = parse_millis(argv[0], v);
+            engine_opts.grace = arpsec::common::parse_millis(argv[0], v);
         } else if (arg == "--alerts") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);

@@ -18,10 +18,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/version.hpp"
 #include "detect/registry.hpp"
 #include "serve/alert_stream.hpp"
@@ -29,6 +31,14 @@
 #include "serve/transport.hpp"
 
 namespace {
+
+using arpsec::common::parse_count;
+
+// Flag bounds. Each shard is a worker thread, and a ring slot is a
+// 32-byte WorkItem allocated up front per shard.
+constexpr std::uint64_t kMaxShards = 256;
+constexpr std::uint64_t kMaxRing = std::uint64_t{1} << 20;
+constexpr std::uint64_t kMaxTimeoutMs = std::numeric_limits<int>::max();
 
 int usage(const char* argv0) {
     std::fprintf(
@@ -42,12 +52,13 @@ int usage(const char* argv0) {
         "  --tcp PORT            listen on 127.0.0.1:PORT (0 = kernel-assigned;\n"
         "                        the chosen address is printed on stdout)\n"
         "  --schemes LIST        schemes deployed per shard (default arpwatch)\n"
-        "  --shards N            detector workers (default 1)\n"
-        "  --ring N              per-shard intake ring capacity (default 4096)\n"
+        "  --shards N            detector workers, 1..256 (default 1)\n"
+        "  --ring N              per-shard intake ring capacity, 1..1048576\n"
+        "                        (default 4096)\n"
         "  --drop                drop frames when a shard ring is full instead\n"
         "                        of applying backpressure\n"
         "  --grace-ms MS         virtual time after a clean END (default 2000)\n"
-        "  --read-timeout-ms MS  per-read poll interval (default 100; also how\n"
+        "  --read-timeout-ms MS  per-read poll interval, >= 1 (default 100; also how\n"
         "                        often SIGTERM is noticed)\n"
         "  --idle-timeout-ms MS  abandon a stream after this much quiet\n"
         "  --conns N             serve N connections, then exit (default 1)\n"
@@ -108,30 +119,31 @@ int main(int argc, char** argv) {
             unix_path = v;
         } else if (arg == "--tcp") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            tcp_port = std::atoi(v);
+            tcp_port = static_cast<int>(parse_count(argv[0], v, 0, 65535));
         } else if (arg == "--schemes") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             options.schemes = split_csv(v);
         } else if (arg == "--shards") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            options.shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            options.shards = static_cast<std::size_t>(parse_count(argv[0], v, 1, kMaxShards));
         } else if (arg == "--ring") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            options.ring_capacity = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            options.ring_capacity =
+                static_cast<std::size_t>(parse_count(argv[0], v, 1, kMaxRing));
         } else if (arg == "--drop") {
             options.drop_when_full = true;
         } else if (arg == "--grace-ms") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            options.grace = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
+            options.grace = arpsec::common::parse_millis(argv[0], v);
         } else if (arg == "--read-timeout-ms") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            options.read_timeout_ms = std::atoi(v);
+            options.read_timeout_ms = static_cast<int>(parse_count(argv[0], v, 1, kMaxTimeoutMs));
         } else if (arg == "--idle-timeout-ms") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            options.idle_timeout_ms = std::atoi(v);
+            options.idle_timeout_ms = static_cast<int>(parse_count(argv[0], v, 0, kMaxTimeoutMs));
         } else if (arg == "--conns") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            conns = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            conns = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (arg == "--alerts") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             alerts_path = v;
@@ -149,7 +161,7 @@ int main(int argc, char** argv) {
             options.scorecard_path = v;
         } else if (arg == "--scorecard-every") {
             if ((v = next()) == nullptr) return usage(argv[0]);
-            options.scorecard_every = std::strtoull(v, nullptr, 10);
+            options.scorecard_every = parse_count(argv[0], v, 0);
         } else if (arg == "--no-alert-stream") {
             options.stream_alerts = false;
         } else if (arg == "--version") {

@@ -9,10 +9,13 @@
 //   $ arpsec_sim --sweep --scheme all --seeds 10 --jobs 4 --sweep-out sweep.json
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/time.hpp"
 #include "common/version.hpp"
 #include "core/artifact.hpp"
@@ -84,6 +87,19 @@ void usage() {
     std::puts("  --sweep-out FILE       write the arpsec.sweep-artifact.v1 JSON");
 }
 
+using common::parse_count;
+
+// Static host addresses are 192.168.1.(10 + i), so the LAN holds at most 200.
+constexpr std::uint64_t kMaxHosts = 200;
+
+/// A non-negative whole-seconds flag value whose nanosecond Duration fits
+/// in int64.
+std::int64_t parse_seconds(const char* prog, const char* text) {
+    constexpr std::uint64_t kMaxSeconds =
+        std::numeric_limits<std::int64_t>::max() / 1'000'000'000;
+    return static_cast<std::int64_t>(parse_count(prog, text, 0, kMaxSeconds));
+}
+
 bool parse_args(int argc, char** argv, Args& out) {
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -121,26 +137,31 @@ bool parse_args(int argc, char** argv, Args& out) {
         } else if (a == "--hosts") {
             const char* v = need("--hosts");
             if (v == nullptr) return false;
-            out.hosts = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            out.hosts = static_cast<std::size_t>(parse_count(argv[0], v, 1, kMaxHosts));
         } else if (a == "--seed") {
             const char* v = need("--seed");
             if (v == nullptr) return false;
-            out.seed = std::strtoull(v, nullptr, 10);
+            out.seed = parse_count(argv[0], v, 0);
         } else if (a == "--duration") {
             const char* v = need("--duration");
             if (v == nullptr) return false;
-            out.duration_s = std::strtoll(v, nullptr, 10);
+            out.duration_s = parse_seconds(argv[0], v);
         } else if (a == "--attack-window") {
             const char* v1 = need("--attack-window");
             if (v1 == nullptr) return false;
             const char* v2 = need("--attack-window");
             if (v2 == nullptr) return false;
-            out.attack_start_s = std::strtoll(v1, nullptr, 10);
-            out.attack_stop_s = std::strtoll(v2, nullptr, 10);
+            out.attack_start_s = parse_seconds(argv[0], v1);
+            out.attack_stop_s = parse_seconds(argv[0], v2);
         } else if (a == "--loss") {
             const char* v = need("--loss");
             if (v == nullptr) return false;
-            out.loss = std::strtod(v, nullptr);
+            char* end = nullptr;
+            out.loss = std::strtod(v, &end);
+            if (end == v || *end != '\0' || !(out.loss >= 0.0 && out.loss <= 1.0)) {
+                std::fprintf(stderr, "%s: bad probability '%s'\n", argv[0], v);
+                return false;
+            }
         } else if (a == "--pcap") {
             const char* v = need("--pcap");
             if (v == nullptr) return false;
@@ -166,13 +187,11 @@ bool parse_args(int argc, char** argv, Args& out) {
         } else if (a == "--jobs") {
             const char* v = need("--jobs");
             if (v == nullptr) return false;
-            out.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (out.jobs == 0) out.jobs = 1;
+            out.jobs = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (a == "--seeds") {
             const char* v = need("--seeds");
             if (v == nullptr) return false;
-            out.seeds = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (out.seeds == 0) out.seeds = 1;
+            out.seeds = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (a == "--sweep-out") {
             const char* v = need("--sweep-out");
             if (v == nullptr) return false;

@@ -12,10 +12,13 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/version.hpp"
 #include "replay/source.hpp"
 
 namespace {
+
+using arpsec::common::parse_count;
 
 int usage(const char* argv0) {
     std::fprintf(
@@ -48,15 +51,15 @@ int main(int argc, char** argv) {
         if (arg == "--frames") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.target_frames = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            opts.target_frames = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (arg == "--first-seed") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.first_seed = std::strtoull(v, nullptr, 10);
+            opts.first_seed = parse_count(argv[0], v, 0);
         } else if (arg == "--jobs") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            opts.jobs = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (arg == "--out") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
@@ -68,15 +71,15 @@ int main(int argc, char** argv) {
         } else if (arg == "--gap-ms") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.epoch_gap = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
+            opts.epoch_gap = arpsec::common::parse_millis(argv[0], v);
         } else if (arg == "--max-hosts") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.gen.max_hosts = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            opts.gen.max_hosts = static_cast<std::size_t>(parse_count(argv[0], v, 2));
         } else if (arg == "--max-events") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
-            opts.gen.max_events = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            opts.gen.max_events = static_cast<std::size_t>(parse_count(argv[0], v));
         } else if (arg == "--version") {
             std::puts(arpsec::common::tool_version_line("trace").c_str());
             return 0;
