@@ -188,6 +188,55 @@ TEST(ScenarioRunnerTest, SummaryLineMentionsScheme) {
     EXPECT_NE(r.summary_line().find("none"), std::string::npos);
 }
 
+TEST(ScenarioRunnerTest, GoldenOutcomePerScheme) {
+    // Pins the runner's per-scheme outcome (static addressing, MITM, seed
+    // 11): any change to how the LAN is built or a scheme is deployed —
+    // port order, node order, lifecycle order — shifts at least one line.
+    const std::vector<std::string> golden = {
+        "none (classic ARP) attack=mitm            success=yes   intercept= 49.3% deliver=100.0% "
+        "TP=0 FP=0 latency=n/a crypto=0 frames=2340 events=3576",
+        "static-entries     attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=0 FP=0 latency=n/a crypto=0 frames=1860 events=3088",
+        "arpwatch           attack=mitm            success=yes   intercept= 49.3% deliver=100.0% "
+        "TP=2 FP=0 latency=19.60us crypto=0 frames=2340 events=3576",
+        "snort-arpspoof     attack=mitm            success=yes   intercept= 49.3% deliver=100.0% "
+        "TP=16 FP=0 latency=19.60us crypto=0 frames=2340 events=3576",
+        "active-probe       attack=mitm            success=yes   intercept= 49.3% deliver=100.0% "
+        "TP=4 FP=0 latency=78.60us crypto=0 frames=2360 events=3600",
+        "anticap            attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=16 FP=0 latency=19.60us crypto=0 frames=1896 events=3132",
+        "antidote           attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=16 FP=0 latency=54.20us crypto=0 frames=1992 events=3260",
+        "middleware         attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=16 FP=0 latency=300.02ms crypto=0 frames=2100 events=3404",
+        "port-security      attack=mitm            success=yes   intercept= 49.3% deliver=100.0% "
+        "TP=0 FP=0 latency=n/a crypto=0 frames=2340 events=3576",
+        "dai+dhcp-snooping  attack=mitm            success=no    intercept=  0.0% deliver= 75.0% "
+        "TP=16 FP=36 latency=9.80us crypto=0 frames=1579 events=2750",
+        "dai-static         attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=16 FP=0 latency=9.80us crypto=0 frames=1864 events=3100",
+        "gossip             attack=mitm            success=yes   intercept= 32.7% deliver=100.0% "
+        "TP=16 FP=0 latency=43.72us crypto=0 frames=2436 events=3744",
+        "lease-monitor      attack=mitm            success=yes   intercept= 49.3% deliver=100.0% "
+        "TP=0 FP=0 latency=n/a crypto=0 frames=2340 events=3576",
+        "s-arp              attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=16 FP=0 latency=19.60us crypto=105 frames=2023 events=3377",
+        "tarp               attack=mitm            success=no    intercept=  0.0% deliver=100.0% "
+        "TP=16 FP=0 latency=19.60us crypto=20 frames=1896 events=3144",
+    };
+    const auto schemes = detect::all_schemes();
+    ASSERT_EQ(schemes.size(), golden.size());
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+        auto scheme = schemes[i].make();
+        const auto r = ScenarioRunner::run_scheme(small_config(), *scheme);
+        const std::string line = r.summary_line() +
+                                 " crypto=" + std::to_string(r.crypto_ops.total()) +
+                                 " frames=" + std::to_string(r.total_frames) +
+                                 " events=" + std::to_string(r.events_executed);
+        EXPECT_EQ(line, golden[i]) << schemes[i].name;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Report / matrix rendering
 // ---------------------------------------------------------------------------
