@@ -12,11 +12,10 @@
 #include "attack/attacker.hpp"
 #include "core/report.hpp"
 #include "exp/bench_main.hpp"
+#include "detect/lan.hpp"
 #include "detect/sarp.hpp"
 #include "detect/tarp.hpp"
 #include "host/host.hpp"
-#include "l2/switch.hpp"
-#include "sim/network.hpp"
 
 using namespace arpsec;
 using common::Duration;
@@ -61,8 +60,8 @@ struct ReplayResult {
 };
 
 ReplayResult run_replay(detect::Scheme& scheme, Duration replay_after) {
-    sim::Network net(6);
-    auto& sw = net.emplace_node<l2::Switch>("switch", 8);
+    detect::Lan lan(6, 8);
+    sim::Network& net = lan.net();
 
     const Ipv4Address victim_ip{192, 168, 1, 10};
     const Ipv4Address owner_ip{192, 168, 1, 20};
@@ -73,7 +72,7 @@ ReplayResult run_replay(detect::Scheme& scheme, Duration replay_after) {
     vcfg.static_ip = victim_ip;
     vcfg.arp_policy = arp::CachePolicy::windows_xp();  // crypto is the only guard
     auto& victim = net.emplace_node<host::Host>(vcfg);
-    net.connect({victim.id(), 0}, {sw.id(), 0});
+    lan.attach(victim.id());
 
     host::HostConfig ocfg;
     ocfg.name = "owner";
@@ -81,36 +80,22 @@ ReplayResult run_replay(detect::Scheme& scheme, Duration replay_after) {
     ocfg.static_ip = owner_ip;
     ocfg.arp_policy = arp::CachePolicy::windows_xp();
     auto& owner = net.emplace_node<host::Host>(ocfg);
-    net.connect({owner.id(), 0}, {sw.id(), 1});
+    lan.attach(owner.id());
 
     attack::Attacker::Config acfg;
     acfg.mac = MacAddress::local(0x666);
     auto& attacker = net.emplace_node<attack::Attacker>(acfg);
-    net.connect({attacker.id(), 0}, {sw.id(), 2});
+    lan.attach(attacker.id());
 
     // Deploy the scheme (S-ARP adds its AKD as a real node).
-    sim::PortId next_port = 3;
-    detect::DeploymentContext ctx;
     crypto::OpCounters ops;
     detect::AlertSink alerts;
-    ctx.net = &net;
-    ctx.fabric = &sw;
+    detect::DeploymentContext ctx;
     ctx.alerts = &alerts;
     ctx.ops = &ops;
     ctx.directory = {{"victim", victim_ip, victim.mac()}, {"owner", owner_ip, owner.mac()}};
-    ctx.attach_infra = [&](sim::NodeId id) {
-        const sim::PortId port = next_port++;
-        net.connect({id, 0}, {sw.id(), port});
-        sw.set_trusted_port(port, true);
-        return port;
-    };
-    std::uint32_t infra = 0;
-    ctx.alloc_infra_ip = [&] {
-        return Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(240 + infra++)};
-    };
-    scheme.deploy(ctx);
-    scheme.protect_host(victim);
-    scheme.protect_host(owner);
+    host::Host* const protect[] = {&victim, &owner};
+    lan.deploy(scheme, std::move(ctx), protect);
 
     ReplyCapture capture(owner.mac(), victim_ip);
     net.add_tap(&capture);

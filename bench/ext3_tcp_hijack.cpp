@@ -10,11 +10,10 @@
 #include "attack/attacker.hpp"
 #include "core/report.hpp"
 #include "detect/antidote.hpp"
+#include "detect/lan.hpp"
 #include "detect/registry.hpp"
 #include "exp/bench_main.hpp"
 #include "host/tcp.hpp"
-#include "l2/switch.hpp"
-#include "sim/network.hpp"
 
 using namespace arpsec;
 using common::Duration;
@@ -34,8 +33,8 @@ struct CaseOutcome {
 };
 
 CaseOutcome run_case(const std::string& scheme_name) {
-    sim::Network net(11);
-    auto& sw = net.emplace_node<l2::Switch>("switch", 8);
+    detect::Lan lan(11, 8);
+    sim::Network& net = lan.net();
 
     const Ipv4Address client_ip{192, 168, 1, 10};
     const Ipv4Address server_ip{192, 168, 1, 20};
@@ -45,46 +44,31 @@ CaseOutcome run_case(const std::string& scheme_name) {
     ccfg.mac = MacAddress::local(10);
     ccfg.static_ip = client_ip;
     auto& client_host = net.emplace_node<host::Host>(ccfg);
-    net.connect({client_host.id(), 0}, {sw.id(), 0});
+    lan.attach(client_host.id());
 
     host::HostConfig scfg;
     scfg.name = "server";
     scfg.mac = MacAddress::local(20);
     scfg.static_ip = server_ip;
     auto& server_host = net.emplace_node<host::Host>(scfg);
-    net.connect({server_host.id(), 0}, {sw.id(), 1});
+    lan.attach(server_host.id());
 
     attack::Attacker::Config acfg;
     acfg.mac = MacAddress::local(0x666);
     auto& attacker = net.emplace_node<attack::Attacker>(acfg);
-    net.connect({attacker.id(), 0}, {sw.id(), 2});
+    lan.attach(attacker.id());
 
     // Deploy the protection under test.
     std::unique_ptr<detect::Scheme> scheme = detect::make_scheme(scheme_name);
     detect::AlertSink alerts;
     crypto::OpCounters ops;
-    sim::PortId next_port = 3;
     detect::DeploymentContext ctx;
-    ctx.net = &net;
-    ctx.fabric = &sw;
     ctx.alerts = &alerts;
     ctx.ops = &ops;
     ctx.directory = {{"client", client_ip, client_host.mac()},
                      {"server", server_ip, server_host.mac()}};
-    ctx.attach_infra = [&](sim::NodeId id) {
-        const sim::PortId port = next_port++;
-        net.connect({id, 0}, {sw.id(), port});
-        sw.set_trusted_port(port, true);
-        return port;
-    };
-    std::uint32_t infra = 0;
-    ctx.alloc_infra_ip = [&] {
-        return Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(240 + infra++)};
-    };
-    scheme->deploy(ctx);
-    scheme->configure_switch(sw);
-    scheme->protect_host(client_host);
-    scheme->protect_host(server_host);
+    host::Host* const protect[] = {&client_host, &server_host};
+    lan.deploy(*scheme, std::move(ctx), protect);
 
     host::TcpStack client(client_host);
     host::TcpStack server(server_host);

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "attack/attacker.hpp"
-#include "detect/monitor.hpp"
+#include "detect/lan.hpp"
 #include "host/apps.hpp"
 #include "host/dhcp_server.hpp"
 #include "host/host.hpp"
@@ -130,12 +130,10 @@ private:
 struct RunState {
     const CheckScenario* scenario = nullptr;
     telemetry::MetricsRegistry metrics;
-    std::unique_ptr<sim::Network> net;
-    l2::Switch* fabric = nullptr;
+    std::unique_ptr<detect::Lan> lan;
     host::Host* gateway = nullptr;
     std::vector<host::Host*> hosts;
     attack::Attacker* attacker = nullptr;
-    detect::MonitorNode* monitor = nullptr;
     std::unique_ptr<host::DhcpServer> dhcp_server;
     std::vector<std::unique_ptr<host::UdpSinkApp>> sinks;
     std::unique_ptr<detect::Scheme> scheme;
@@ -144,8 +142,6 @@ struct RunState {
     crypto::OpCounters crypto_ops;
     std::unique_ptr<CheckTap> tap;
     std::unique_ptr<RecorderTap> recorder_tap;
-    sim::PortId next_port = 0;
-    std::uint8_t infra_ips = 0;
     MacAddress dos_mac = MacAddress::local(0xDEAD00);
     std::set<std::uint32_t> directory_ips;
 
@@ -176,19 +172,13 @@ Ipv4Address static_host_ip(std::size_t i) {
 
 void build_lan(RunState& rs) {
     const CheckScenario& s = *rs.scenario;
-    rs.net = std::make_unique<sim::Network>(s.seed);
-    rs.net->attach_metrics(rs.metrics);
-
     const std::size_t ports = s.host_count + 12;  // stations + infra headroom
-    rs.fabric = &rs.net->emplace_node<l2::Switch>("switch", ports);
+    rs.lan = std::make_unique<detect::Lan>(s.seed, ports);
+    sim::Network& net = rs.lan->net();
+    net.attach_metrics(rs.metrics);
 
     sim::LinkConfig lossy;
     lossy.loss_probability = s.link_loss;
-    const auto attach = [&rs](sim::NodeId id, sim::LinkConfig link) {
-        const sim::PortId port = rs.next_port++;
-        rs.net->connect(sim::Endpoint{id, 0}, sim::Endpoint{rs.fabric->id(), port}, link);
-        return port;
-    };
 
     // Gateway + DHCP server. Infrastructure links are lossless: the
     // detection oracle's soundness argument needs the mirror copy of every
@@ -198,8 +188,8 @@ void build_lan(RunState& rs) {
     gw_cfg.mac = MacAddress::local(1);
     gw_cfg.static_ip = gateway_ip();
     gw_cfg.gateway = gateway_ip();
-    rs.gateway = &rs.net->emplace_node<host::Host>(gw_cfg);
-    rs.fabric->set_trusted_port(attach(rs.gateway->id(), sim::LinkConfig{}), true);
+    rs.gateway = &net.emplace_node<host::Host>(gw_cfg);
+    rs.lan->fabric().set_trusted_port(rs.lan->attach(rs.gateway->id()), true);
 
     host::DhcpServer::Config dhcp_cfg;
     dhcp_cfg.pool_start = Ipv4Address{192, 168, 1, 100};
@@ -214,8 +204,8 @@ void build_lan(RunState& rs) {
         cfg.mac = MacAddress::local(10 + i);
         if (!s.dhcp) cfg.static_ip = static_host_ip(i);
         cfg.gateway = gateway_ip();
-        host::Host& h = rs.net->emplace_node<host::Host>(cfg);
-        attach(h.id(), lossy);
+        host::Host& h = net.emplace_node<host::Host>(cfg);
+        rs.lan->attach(h.id(), lossy);
         rs.hosts.push_back(&h);
         rs.sinks.push_back(std::make_unique<host::UdpSinkApp>(h, 7000, nullptr));
     }
@@ -223,20 +213,15 @@ void build_lan(RunState& rs) {
     attack::Attacker::Config atk;
     atk.mac = MacAddress::local(0x666);
     atk.ip = Ipv4Address{192, 168, 1, 250};
-    rs.attacker = &rs.net->emplace_node<attack::Attacker>(atk);
-    attach(rs.attacker->id(), lossy);
+    rs.attacker = &net.emplace_node<attack::Attacker>(atk);
+    rs.lan->attach(rs.attacker->id(), lossy);
 
-    rs.monitor = &rs.net->emplace_node<detect::MonitorNode>("monitor", MacAddress::local(0x999));
-    const sim::PortId mon_port = attach(rs.monitor->id(), sim::LinkConfig{});
-    rs.fabric->set_mirror_port(mon_port);
-    rs.fabric->set_trusted_port(mon_port, true);
+    rs.lan->add_monitor();
 }
 
 void deploy_scheme(RunState& rs) {
     const CheckScenario& s = *rs.scenario;
     detect::DeploymentContext ctx;
-    ctx.net = rs.net.get();
-    ctx.fabric = rs.fabric;
     ctx.alerts = &rs.alerts;
     ctx.ops = &rs.crypto_ops;
     ctx.directory.push_back({"gateway", gateway_ip(), rs.gateway->mac()});
@@ -247,22 +232,12 @@ void deploy_scheme(RunState& rs) {
         }
     }
     for (const detect::HostRecord& r : ctx.directory) rs.directory_ips.insert(r.ip.value());
-    ctx.attach_infra = [&rs](sim::NodeId id) {
-        const sim::PortId port = rs.next_port++;
-        rs.net->connect(sim::Endpoint{id, 0}, sim::Endpoint{rs.fabric->id(), port});
-        rs.fabric->set_trusted_port(port, true);
-        return port;
-    };
-    ctx.alloc_infra_ip = [&rs] {
-        return Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(240 + rs.infra_ips++)};
-    };
 
-    rs.scheme->deploy(ctx);
-    rs.scheme->configure_switch(*rs.fabric);
-    rs.scheme->protect_host(*rs.gateway);
-    const std::size_t protect = std::min(s.protected_hosts, rs.hosts.size());
-    for (std::size_t i = 0; i < protect; ++i) rs.scheme->protect_host(*rs.hosts[i]);
-    rs.scheme->attach_monitor(*rs.monitor);
+    std::vector<host::Host*> protect{rs.gateway};
+    protect.insert(protect.end(), rs.hosts.begin(),
+                   rs.hosts.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(s.protected_hosts, rs.hosts.size())));
+    rs.lan->deploy(*rs.scheme, std::move(ctx), protect);
 }
 
 /// Settle-phase stimulus: every host talks to the gateway in both
@@ -270,7 +245,7 @@ void deploy_scheme(RunState& rs) {
 /// true bindings before the adversarial schedule starts.
 void schedule_settle_traffic(RunState& rs) {
     const CheckScenario& s = *rs.scenario;
-    auto& sched = rs.net->scheduler();
+    auto& sched = rs.lan->net().scheduler();
     const Duration base = s.dhcp ? Duration::millis(1500) : Duration::millis(500);
     const wire::Bytes ping{0xA5, 0x5A};
     for (std::size_t i = 0; i < rs.hosts.size(); ++i) {
@@ -394,7 +369,7 @@ void observe_caches(RunState& rs) {
                 p.owner = t.owner;
                 p.ip = t.ip;
                 p.mac = cur.mac;
-                p.at = rs.net->now();
+                p.at = rs.lan->net().now();
                 p.overwrite = prev.binding == RunState::Binding::kCorrect;
                 p.directory_ip = rs.directory_ips.count(t.ip.value()) > 0;
                 p.announced = rs.tap->announced(t.ip, t.mac);
@@ -412,7 +387,7 @@ void check_step(RunState& rs, const std::vector<std::unique_ptr<Oracle>>& oracle
     CheckContext ctx;
     ctx.scenario = rs.scenario;
     ctx.traits = &rs.traits;
-    ctx.net = rs.net.get();
+    ctx.net = &rs.lan->net();
     ctx.alerts = &rs.alerts;
     ctx.metrics = &rs.metrics;
     ctx.host_count = rs.host_count();
@@ -460,23 +435,24 @@ RunOutcome Harness::run(const CheckScenario& scenario) const {
     build_lan(rs);
     deploy_scheme(rs);
 
+    sim::Network& net = rs.lan->net();
+    const sim::NodeId monitor = rs.lan->monitor()->id();
     const SimTime t0 = SimTime::zero() + scenario.settle;
-    rs.tap = std::make_unique<CheckTap>(rs.attacker->mac(), rs.monitor->id(), t0);
-    rs.net->add_tap(rs.tap.get());
+    rs.tap = std::make_unique<CheckTap>(rs.attacker->mac(), monitor, t0);
+    net.add_tap(rs.tap.get());
     if (recorder_ != nullptr) {
-        rs.recorder_tap =
-            std::make_unique<RecorderTap>(rs.attacker->id(), rs.monitor->id(), recorder_);
-        rs.net->add_tap(rs.recorder_tap.get());
+        rs.recorder_tap = std::make_unique<RecorderTap>(rs.attacker->id(), monitor, recorder_);
+        net.add_tap(rs.recorder_tap.get());
     }
 
-    rs.net->start_all();
+    net.start_all();
     schedule_settle_traffic(rs);
 
     std::vector<InjectedEvent> events = scenario.events;
     std::stable_sort(events.begin(), events.end(),
                      [](const InjectedEvent& a, const InjectedEvent& b) { return a.at < b.at; });
 
-    auto& sched = rs.net->scheduler();
+    auto& sched = net.scheduler();
     sched.run_until(t0);
     check_step(rs, *oracles_, /*final_check=*/false, Violation::kNoEvent);
 
@@ -495,8 +471,8 @@ RunOutcome Harness::run(const CheckScenario& scenario) const {
     out.violations = std::move(rs.violations);
     out.alerts = rs.alerts.count();
     out.poisons = rs.all_poisons.size();
-    out.frames = rs.net->counters().frames;
-    out.events_executed = rs.net->scheduler().executed();
+    out.frames = net.counters().frames;
+    out.events_executed = net.scheduler().executed();
     return out;
 }
 

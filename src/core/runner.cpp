@@ -48,21 +48,15 @@ ScenarioResult ScenarioRunner::run_scheme(const ScenarioConfig& config, detect::
 }
 
 void ScenarioRunner::build() {
-    net_ = std::make_unique<sim::Network>(config_.seed);
-    net_->attach_metrics(metrics_);
-
     const std::size_t ports =
         1 /*gateway*/ + config_.host_count + 1 /*attacker*/ + 1 /*monitor*/ +
         config_.churn.dhcp_recycles + 8 /*infra + nic swap spares*/;
-    switch_ = &net_->emplace_node<l2::Switch>("switch", ports);
+    lan_ = std::make_unique<detect::Lan>(config_.seed, ports);
+    sim::Network& net = lan_->net();
+    net.attach_metrics(metrics_);
 
     sim::LinkConfig access_link;
     access_link.loss_probability = config_.link_loss;
-    const auto attach = [this, access_link](sim::NodeId id) {
-        const sim::PortId port = next_free_port_++;
-        net_->connect(sim::Endpoint{id, 0}, sim::Endpoint{switch_->id(), port}, access_link);
-        return port;
-    };
 
     // Gateway (also the DHCP server and the hosts' traffic sink).
     host::HostConfig gw_cfg;
@@ -72,9 +66,8 @@ void ScenarioRunner::build() {
     gw_cfg.subnet = subnet();
     gw_cfg.gateway = gateway_ip();
     gw_cfg.arp_policy = config_.host_policy;
-    gateway_ = &net_->emplace_node<host::Host>(gw_cfg);
-    const sim::PortId gw_port = attach(gateway_->id());
-    switch_->set_trusted_port(gw_port, true);
+    gateway_ = &net.emplace_node<host::Host>(gw_cfg);
+    lan_->fabric().set_trusted_port(lan_->attach(gateway_->id(), access_link), true);
 
     host::DhcpServer::Config dhcp_cfg;
     dhcp_cfg.pool_start = Ipv4Address{192, 168, 1, 100};
@@ -94,8 +87,8 @@ void ScenarioRunner::build() {
         cfg.subnet = subnet();
         cfg.gateway = gateway_ip();
         cfg.arp_policy = config_.host_policy;
-        host::Host& h = net_->emplace_node<host::Host>(cfg);
-        attach(h.id());
+        host::Host& h = net.emplace_node<host::Host>(cfg);
+        lan_->attach(h.id(), access_link);
         hosts_.push_back(&h);
         sink_apps_.push_back(std::make_unique<host::UdpSinkApp>(h, 7000, &ledger_));
         traffic_apps_.push_back(std::make_unique<host::TrafficApp>(
@@ -128,22 +121,16 @@ void ScenarioRunner::build() {
     attack::Attacker::Config atk_cfg;
     atk_cfg.mac = MacAddress::local(0x666);
     atk_cfg.ip = Ipv4Address{192, 168, 1, 250};
-    attacker_ = &net_->emplace_node<attack::Attacker>(atk_cfg);
-    attach(attacker_->id());
+    attacker_ = &net.emplace_node<attack::Attacker>(atk_cfg);
+    lan_->attach(attacker_->id(), access_link);
     attacker_macs_.insert(atk_cfg.mac);
     dos_mac_ = MacAddress::local(0xDEAD00);
 
-    // Mirror-port monitor.
-    monitor_ = &net_->emplace_node<detect::MonitorNode>("monitor", MacAddress::local(0x999));
-    const sim::PortId mon_port = attach(monitor_->id());
-    switch_->set_mirror_port(mon_port);
-    switch_->set_trusted_port(mon_port, true);
+    lan_->add_monitor(access_link);
 }
 
 void ScenarioRunner::deploy(detect::Scheme& scheme) {
     detect::DeploymentContext ctx;
-    ctx.net = net_.get();
-    ctx.fabric = switch_;
     ctx.alerts = &alert_sink_;
     ctx.cost = config_.cost_model;
     ctx.ops = &crypto_ops_;
@@ -155,25 +142,14 @@ void ScenarioRunner::deploy(detect::Scheme& scheme) {
     } else {
         ctx.directory.push_back({"gateway", gateway_ip(), gateway_->mac()});
     }
-    ctx.attach_infra = [this](sim::NodeId id) {
-        const sim::PortId port = next_free_port_++;
-        net_->connect(sim::Endpoint{id, 0}, sim::Endpoint{switch_->id(), port});
-        switch_->set_trusted_port(port, true);
-        return port;
-    };
-    ctx.alloc_infra_ip = [this] {
-        return Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(240 + infra_ip_counter_++)};
-    };
 
-    scheme.deploy(ctx);
-    scheme.configure_switch(*switch_);
-    scheme.protect_host(*gateway_);
-    for (host::Host* h : hosts_) scheme.protect_host(*h);
-    scheme.attach_monitor(*monitor_);
+    std::vector<host::Host*> protect{gateway_};
+    protect.insert(protect.end(), hosts_.begin(), hosts_.end());
+    lan_->deploy(scheme, std::move(ctx), protect);
 }
 
 void ScenarioRunner::schedule_timeline() {
-    auto& sched = net_->scheduler();
+    auto& sched = lan_->net().scheduler();
     const SimTime t0 = SimTime::zero();
 
     sched.schedule_at(t0 + config_.attack_start, [this] {
@@ -208,9 +184,8 @@ void ScenarioRunner::schedule_timeline() {
             cfg.subnet = subnet();
             cfg.gateway = gateway_ip();
             cfg.arp_policy = config_.host_policy;
-            host::Host& h = net_->emplace_node<host::Host>(cfg);
-            const sim::PortId port = next_free_port_++;
-            net_->connect(sim::Endpoint{h.id(), 0}, sim::Endpoint{switch_->id(), port});
+            host::Host& h = lan_->net().emplace_node<host::Host>(cfg);
+            lan_->attach(h.id());
             sink_apps_.push_back(std::make_unique<host::UdpSinkApp>(h, 7000, &ledger_));
             traffic_apps_.push_back(std::make_unique<host::TrafficApp>(
                 h, ledger_,
@@ -236,9 +211,8 @@ void ScenarioRunner::schedule_timeline() {
             cfg.subnet = subnet();
             cfg.gateway = gateway_ip();
             cfg.arp_policy = config_.host_policy;
-            host::Host& h = net_->emplace_node<host::Host>(cfg);
-            const sim::PortId port = next_free_port_++;
-            net_->connect(sim::Endpoint{h.id(), 0}, sim::Endpoint{switch_->id(), port});
+            host::Host& h = lan_->net().emplace_node<host::Host>(cfg);
+            lan_->attach(h.id());
             sink_apps_.push_back(std::make_unique<host::UdpSinkApp>(h, 7000, &ledger_));
             if (active_scheme_ != nullptr) active_scheme_->protect_host(h);
             hosts_.push_back(&h);
@@ -257,7 +231,7 @@ void ScenarioRunner::launch_attack() {
     if (config_.attack == AttackKind::kNone) return;
     host::Host* victim = hosts_.front();
     if (tracer_ != nullptr) {
-        tracer_->instant("attack-launch", "attack", net_->now(),
+        tracer_->instant("attack-launch", "attack", lan_->net().now(),
                          {{"kind", to_string(config_.attack)},
                           {"vector", attack::to_string(config_.vector)}});
     }
@@ -319,7 +293,7 @@ void ScenarioRunner::halt_attack() {
     }
     attacker_->stop_all();
     if (tracer_ != nullptr) {
-        tracer_->instant("attack-halt", "attack", net_->now(),
+        tracer_->instant("attack-halt", "attack", lan_->net().now(),
                          {{"victim_poisoned", victim_poisoned_at_end_ ? "true" : "false"}});
     }
 }
@@ -370,7 +344,7 @@ ScenarioResult ScenarioRunner::collect(detect::Scheme& scheme) {
     }
     r.raw_alerts = alert_sink_.alerts();
 
-    const auto& c = net_->counters();
+    const auto& c = lan_->net().counters();
     r.total_frames = c.frames;
     r.total_bytes = c.bytes;
     r.arp_frames = c.arp_frames;
@@ -380,7 +354,7 @@ ScenarioResult ScenarioRunner::collect(detect::Scheme& scheme) {
     for (host::Host* h : hosts_) r.resolution_latency_us.merge(h->stats().resolution_latency_us);
 
     r.crypto_ops = crypto_ops_;
-    r.events_executed = net_->scheduler().executed();
+    r.events_executed = lan_->net().scheduler().executed();
 
     publish_metrics(r);
     trace_timeline(r);
@@ -390,7 +364,7 @@ ScenarioResult ScenarioRunner::collect(detect::Scheme& scheme) {
 void ScenarioRunner::publish_metrics(const ScenarioResult& r) {
     // sim.* counters accumulated live; everything below is the end-of-run
     // aggregation across the layers.
-    switch_->export_metrics(metrics_);
+    lan_->fabric().export_metrics(metrics_);
 
     arp::CacheStats arp_agg = gateway_->arp_cache().stats();
     for (host::Host* h : hosts_) arp_agg += h->arp_cache().stats();
@@ -453,9 +427,9 @@ ScenarioResult ScenarioRunner::run_with_tap(detect::Scheme& scheme, sim::Capture
     active_scheme_ = &scheme;
     deploy(scheme);
     schedule_timeline();
-    if (tap != nullptr) net_->add_tap(tap);
-    net_->start_all();
-    net_->scheduler().run_until(SimTime::zero() + config_.duration);
+    if (tap != nullptr) lan_->net().add_tap(tap);
+    lan_->net().start_all();
+    lan_->net().scheduler().run_until(SimTime::zero() + config_.duration);
     active_scheme_ = nullptr;
     return collect(scheme);
 }

@@ -6,7 +6,7 @@
 
 #include "attack/attacker.hpp"
 #include "core/scenario.hpp"
-#include "detect/monitor.hpp"
+#include "detect/lan.hpp"
 #include "detect/scheme.hpp"
 #include "host/apps.hpp"
 #include "host/dhcp_server.hpp"
@@ -43,13 +43,13 @@ public:
     static ScenarioResult run_scheme(const ScenarioConfig& config, detect::Scheme& scheme);
 
     // ---- Accessors (valid after run(); used by tests and examples) --------
-    [[nodiscard]] sim::Network& network() { return *net_; }
-    [[nodiscard]] l2::Switch& fabric() { return *switch_; }
+    [[nodiscard]] sim::Network& network() { return lan_->net(); }
+    [[nodiscard]] l2::Switch& fabric() { return lan_->fabric(); }
     [[nodiscard]] host::Host& gateway() { return *gateway_; }
     [[nodiscard]] host::Host& victim() { return *hosts_.front(); }
     [[nodiscard]] std::vector<host::Host*>& hosts() { return hosts_; }
     [[nodiscard]] attack::Attacker& attacker() { return *attacker_; }
-    [[nodiscard]] detect::MonitorNode& monitor() { return *monitor_; }
+    [[nodiscard]] detect::MonitorNode& monitor() { return *lan_->monitor(); }
     [[nodiscard]] detect::AlertSink& alerts() { return alert_sink_; }
     [[nodiscard]] host::DeliveryLedger& ledger() { return ledger_; }
 
@@ -88,19 +88,16 @@ private:
     [[nodiscard]] bool is_attacker_alert(const detect::Alert& a) const;
 
     ScenarioConfig config_;
-    std::unique_ptr<sim::Network> net_;
-    l2::Switch* switch_ = nullptr;
+    std::unique_ptr<detect::Lan> lan_;
     host::Host* gateway_ = nullptr;
     std::unique_ptr<host::DhcpServer> dhcp_server_;
     std::vector<host::Host*> hosts_;
     std::vector<std::unique_ptr<host::TrafficApp>> traffic_apps_;
     std::vector<std::unique_ptr<host::UdpSinkApp>> sink_apps_;
     attack::Attacker* attacker_ = nullptr;
-    detect::MonitorNode* monitor_ = nullptr;
     detect::AlertSink alert_sink_;
     host::DeliveryLedger ledger_;
 
-    sim::PortId next_free_port_ = 0;
     std::set<wire::MacAddress> attacker_macs_;
     wire::MacAddress dos_mac_;
     wire::Ipv4Address victim_ip_at_attack_;
@@ -110,7 +107,6 @@ private:
     WindowStats snapshot_at_attack_stop_;
     host::DeliveryLedger::FlowStats victim_flow_at_start_;
     host::DeliveryLedger::FlowStats victim_flow_at_stop_;
-    std::uint32_t infra_ip_counter_ = 0;
     crypto::OpCounters crypto_ops_;
     bool victim_poisoned_at_end_ = false;
     detect::Scheme* active_scheme_ = nullptr;  // for churn-joiner protection

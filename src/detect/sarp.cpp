@@ -3,6 +3,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "detect/lan.hpp"
+
 namespace arpsec::detect {
 
 using common::Duration;
@@ -248,15 +250,15 @@ void SArpScheme::deploy(const DeploymentContext& ctx) {
     Scheme::deploy(ctx);
     akd_key_ = std::make_unique<KeyPair>(KeyPair::derive(0xA4D0));
 
-    akd_ip_ = ctx_.alloc_infra_ip();
+    akd_ip_ = ctx_.lan->alloc_infra_ip();
     akd_mac_ = MacAddress::local(0xA4D0);
 
     host::HostConfig cfg;
     cfg.name = "akd";
     cfg.mac = akd_mac_;
     cfg.static_ip = akd_ip_;
-    akd_host_ = &ctx_.net->emplace_node<host::Host>(cfg);
-    ctx_.attach_infra(akd_host_->id());
+    akd_host_ = &ctx_.lan->net().emplace_node<host::Host>(cfg);
+    ctx_.lan->attach_infra(akd_host_->id());
 
     // Key registry: every directory station's public key, indexed by IP.
     for (const HostRecord& rec : ctx_.directory) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -52,27 +51,26 @@ struct SchemeTraits {
     std::string notes;
 };
 
+class Lan;
+
 /// Everything a scheme may use when deployed into a scenario.
 struct DeploymentContext {
     sim::Network* net = nullptr;
-    l2::Switch* fabric = nullptr;
+    /// The LAN the scheme is deployed into (set by Lan::deploy). Schemes
+    /// that add infrastructure nodes (S-ARP's key server) attach them and
+    /// take their addresses through it.
+    Lan* lan = nullptr;
     AlertSink* alerts = nullptr;
     crypto::CostModel cost;
     crypto::OpCounters* ops = nullptr;
     /// Ground-truth bindings of all legitimate stations (incl. gateway).
     std::vector<HostRecord> directory;
-    /// Connects a freshly added infra node's port 0 to a free fabric port
-    /// and returns that fabric port. The port is marked trusted.
-    std::function<sim::PortId(sim::NodeId)> attach_infra;
-    /// Allocates an unused IP for infrastructure nodes (key server etc.).
-    std::function<wire::Ipv4Address()> alloc_infra_ip;
 };
 
 /// A detection/prevention scheme from the paper's analysis, behind one
 /// interface so the evaluation harness can sweep all of them uniformly.
-/// Lifecycle per scenario: deploy() once, then protect_host() for every
-/// participating host, configure_switch() for the fabric, and
-/// attach_monitor() for the mirror-port station.
+/// Lan::deploy() (detect/lan.hpp) is the one definition of the lifecycle
+/// order the hooks below are called in.
 class Scheme {
 public:
     virtual ~Scheme() = default;

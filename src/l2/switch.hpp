@@ -122,6 +122,8 @@ public:
         listener_ = std::move(fn);
     }
     [[nodiscard]] std::size_t port_count() const { return port_count_; }
+    [[nodiscard]] bool trusted(sim::PortId port) const { return trusted_ports_.count(port) != 0; }
+    [[nodiscard]] std::optional<sim::PortId> mirror_port() const { return mirror_port_; }
 
     struct ForwardStats {
         std::uint64_t received = 0;
@@ -146,7 +148,6 @@ private:
     bool apply_port_security(sim::PortId in_port, const wire::FrameView& view);
     bool apply_dhcp_snooping(sim::PortId in_port, const wire::FrameView& view);
     bool apply_arp_inspection(sim::PortId in_port, const wire::FrameView& view);
-    [[nodiscard]] bool trusted(sim::PortId port) const { return trusted_ports_.count(port) != 0; }
 
     std::size_t port_count_;
     CamTable cam_;

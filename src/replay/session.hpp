@@ -6,7 +6,7 @@
 
 #include "common/time.hpp"
 #include "detect/alert.hpp"
-#include "detect/monitor.hpp"
+#include "detect/lan.hpp"
 #include "detect/scheme.hpp"
 #include "sim/network.hpp"
 #include "telemetry/json.hpp"
@@ -16,7 +16,8 @@
 namespace arpsec::replay {
 
 struct SessionOptions {
-    /// Simulation seed; callers coerce 0 to 1 (sim::Network rejects 0).
+    /// Simulation seed; the session runs seed 0 as 1 (sim::Network
+    /// rejects 0).
     std::uint64_t seed = 1;
     /// Ground-truth (IP, MAC) directory handed to schemes that need a
     /// priori bindings (static entries, S-ARP enrollment, DAI).
@@ -38,9 +39,9 @@ struct SessionOptions {
 /// thread.
 class SchemeSession {
 public:
-    /// Deploys `scheme` (must be non-null) into a fresh offline LAN:
-    /// deploy() with the directory and infra hooks, configure_switch(),
-    /// attach_monitor(), then start_all().
+    /// Deploys `scheme` (must be non-null) into a fresh offline LAN (a
+    /// detect::Lan with only its monitor on port 0) via Lan::deploy() with
+    /// the directory, then start_all().
     SchemeSession(std::unique_ptr<detect::Scheme> scheme, SessionOptions options);
     ~SchemeSession();
 
@@ -73,16 +74,11 @@ public:
     [[nodiscard]] common::SimTime now() const;
 
 private:
-    SessionOptions options_;
     telemetry::MetricsRegistry metrics_;
-    std::unique_ptr<sim::Network> net_;
-    l2::Switch* fabric_ = nullptr;
-    detect::MonitorNode* monitor_ = nullptr;
+    std::unique_ptr<detect::Lan> lan_;
     detect::AlertSink alerts_;
     crypto::OpCounters ops_;
     std::unique_ptr<detect::Scheme> scheme_;
-    sim::PortId next_port_ = 1;
-    std::uint8_t infra_ips_ = 0;
     std::uint64_t frames_ = 0;
     std::uint64_t malformed_ = 0;
     common::SimTime last_at_ = common::SimTime::zero();

@@ -6,6 +6,7 @@
 #include "detect/antidote.hpp"
 #include "detect/arpwatch.hpp"
 #include "detect/gossip.hpp"
+#include "detect/lan.hpp"
 #include "detect/lease_monitor.hpp"
 #include "detect/middleware.hpp"
 #include "detect/registry.hpp"
@@ -537,8 +538,8 @@ TEST(SArpTest, AkdOutageBlocksColdResolutions) {
     // Availability caveat: with the key server down, hosts cannot verify
     // stations whose keys are not yet cached — cold resolutions fail.
     // (Warm caches keep working: the dependence is on *new* bindings.)
-    sim::Network net(5);
-    auto& sw = net.emplace_node<l2::Switch>("switch", 8);
+    Lan lan(5, 8);
+    sim::Network& net = lan.net();
     const wire::Ipv4Address a_ip{192, 168, 1, 10};
     const wire::Ipv4Address b_ip{192, 168, 1, 20};
     host::HostConfig acfg;
@@ -548,38 +549,24 @@ TEST(SArpTest, AkdOutageBlocksColdResolutions) {
     // Announcements suppressed so no key is cached before the outage.
     acfg.gratuitous_announce = false;
     auto& a = net.emplace_node<host::Host>(acfg);
-    net.connect({a.id(), 0}, {sw.id(), 0});
+    lan.attach(a.id());
     host::HostConfig bcfg;
     bcfg.name = "b";
     bcfg.mac = wire::MacAddress::local(2);
     bcfg.static_ip = b_ip;
     bcfg.gratuitous_announce = false;
     auto& b = net.emplace_node<host::Host>(bcfg);
-    net.connect({b.id(), 0}, {sw.id(), 1});
+    lan.attach(b.id());
 
     SArpScheme scheme;
     AlertSink alerts;
     crypto::OpCounters ops;
-    sim::PortId next_port = 2;
     DeploymentContext ctx;
-    ctx.net = &net;
-    ctx.fabric = &sw;
     ctx.alerts = &alerts;
     ctx.ops = &ops;
     ctx.directory = {{"a", a_ip, a.mac()}, {"b", b_ip, b.mac()}};
-    ctx.attach_infra = [&](sim::NodeId id) {
-        const sim::PortId port = next_port++;
-        net.connect({id, 0}, {sw.id(), port});
-        sw.set_trusted_port(port, true);
-        return port;
-    };
-    std::uint32_t infra = 0;
-    ctx.alloc_infra_ip = [&] {
-        return wire::Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(240 + infra++)};
-    };
-    scheme.deploy(ctx);
-    scheme.protect_host(a);
-    scheme.protect_host(b);
+    host::Host* const protect[] = {&a, &b};
+    lan.deploy(scheme, std::move(ctx), protect);
 
     net.start_all();
     net.scheduler().run_until(common::SimTime::zero() + Duration::seconds(1));
@@ -600,6 +587,111 @@ TEST(SArpTest, AkdOutageBlocksColdResolutions) {
     a.resolve(b_ip, [&](auto mac) { again = mac.value_or(wire::MacAddress{}); });
     net.scheduler().run_until(common::SimTime::zero() + Duration::seconds(20));
     EXPECT_EQ(again, b.mac());
+}
+
+// ---------------------------------------------------------------------------
+// Lan: the shared LAN-and-deploy builder
+// ---------------------------------------------------------------------------
+
+host::Host& lan_host(Lan& lan, const std::string& name, std::uint64_t mac) {
+    host::HostConfig cfg;
+    cfg.name = name;
+    cfg.mac = wire::MacAddress::local(mac);
+    return lan.net().emplace_node<host::Host>(cfg);
+}
+
+/// Records every lifecycle hook in call order.
+class RecordingScheme final : public Scheme {
+public:
+    [[nodiscard]] SchemeTraits traits() const override {
+        SchemeTraits t;
+        t.name = "recording";
+        return t;
+    }
+    void deploy(const DeploymentContext& ctx) override {
+        Scheme::deploy(ctx);
+        calls.push_back("deploy");
+        seen = ctx;
+    }
+    void configure_switch(l2::Switch&) override { calls.push_back("configure_switch"); }
+    void protect_host(host::Host& h) override { calls.push_back("protect_host " + h.name()); }
+    void attach_monitor(MonitorNode&) override { calls.push_back("attach_monitor"); }
+
+    std::vector<std::string> calls;
+    DeploymentContext seen;
+};
+
+TEST(LanTest, PortsFollowAttachOrder) {
+    Lan lan(1, 8);
+    EXPECT_EQ(lan.fabric().name(), "switch");
+    EXPECT_EQ(lan.fabric().id(), 0u);
+    EXPECT_EQ(lan.attach(lan_host(lan, "h0", 10).id()), sim::PortId{0});
+    EXPECT_EQ(lan.attach_infra(lan_host(lan, "infra", 11).id()), sim::PortId{1});
+    EXPECT_EQ(lan.attach(lan_host(lan, "h1", 12).id()), sim::PortId{2});
+    EXPECT_FALSE(lan.fabric().trusted(0));
+    EXPECT_TRUE(lan.fabric().trusted(1));  // attach_infra marks its port trusted
+    EXPECT_FALSE(lan.fabric().trusted(2));
+    EXPECT_EQ(lan.monitor(), nullptr);
+    EXPECT_FALSE(lan.fabric().mirror_port().has_value());
+}
+
+TEST(LanTest, MonitorTakesTheNextPortAsTrustedMirror) {
+    Lan lan(1, 8);
+    lan.attach(lan_host(lan, "h0", 10).id());
+    MonitorNode& monitor = lan.add_monitor();
+    EXPECT_EQ(lan.monitor(), &monitor);
+    EXPECT_EQ(monitor.name(), "monitor");
+    EXPECT_EQ(monitor.mac(), wire::MacAddress::local(0x999));
+    EXPECT_EQ(lan.fabric().mirror_port(), std::optional<sim::PortId>{1});
+    EXPECT_TRUE(lan.fabric().trusted(1));
+    EXPECT_EQ(lan.attach(lan_host(lan, "h1", 11).id()), sim::PortId{2});
+}
+
+TEST(LanTest, InfraAddressesCountUpFrom240) {
+    Lan lan(1, 4);
+    EXPECT_EQ(lan.alloc_infra_ip(), (wire::Ipv4Address{192, 168, 1, 240}));
+    EXPECT_EQ(lan.alloc_infra_ip(), (wire::Ipv4Address{192, 168, 1, 241}));
+    EXPECT_EQ(lan.alloc_infra_ip(), (wire::Ipv4Address{192, 168, 1, 242}));
+}
+
+TEST(LanTest, DeployRunsTheLifecycleInOrder) {
+    Lan lan(1, 8);
+    host::Host& h0 = lan_host(lan, "h0", 10);
+    host::Host& h1 = lan_host(lan, "h1", 11);
+    lan.attach(h0.id());
+    lan.attach(h1.id());
+    lan.add_monitor();
+
+    RecordingScheme scheme;
+    AlertSink alerts;
+    DeploymentContext ctx;
+    ctx.alerts = &alerts;
+    ctx.directory = {{"h0", wire::Ipv4Address{192, 168, 1, 10}, h0.mac()}};
+    host::Host* const protect[] = {&h1, &h0};
+    lan.deploy(scheme, std::move(ctx), protect);
+
+    EXPECT_EQ(scheme.calls,
+              (std::vector<std::string>{"deploy", "configure_switch", "protect_host h1",
+                                        "protect_host h0", "attach_monitor"}));
+    EXPECT_EQ(scheme.seen.net, &lan.net());
+    EXPECT_EQ(scheme.seen.lan, &lan);
+    EXPECT_EQ(scheme.seen.alerts, &alerts);  // caller fields pass through
+    EXPECT_EQ(scheme.seen.directory.size(), 1u);
+}
+
+TEST(LanTest, DeployWithoutMonitorSkipsAttachMonitor) {
+    Lan lan(1, 4);
+    host::Host& h0 = lan_host(lan, "h0", 10);
+    lan.attach(h0.id());
+    RecordingScheme scheme;
+    host::Host* const protect[] = {&h0};
+    lan.deploy(scheme, {}, protect);
+    EXPECT_EQ(scheme.calls,
+              (std::vector<std::string>{"deploy", "configure_switch", "protect_host h0"}));
+
+    RecordingScheme bare;
+    lan.deploy(bare, {});
+    EXPECT_EQ(bare.calls, (std::vector<std::string>{"deploy", "configure_switch"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "check/fuzzer_node.hpp"
-#include "detect/monitor.hpp"
+#include "detect/lan.hpp"
 #include "lint/lexer.hpp"
 #include "lint/linter.hpp"
 #include "detect/registry.hpp"
@@ -82,49 +82,31 @@ TEST_P(PipelineFuzzTest, SchemesSurviveGarbageAtEveryVantage) {
     // Deploy each scheme on a fuzzed LAN; no scheme may crash, whatever it
     // alerts on is its own business.
     for (const auto& reg : detect::all_schemes()) {
-        sim::Network net(GetParam() ^ 0xABCD);
-        auto& sw = net.emplace_node<l2::Switch>("switch", 8);
+        detect::Lan lan(GetParam() ^ 0xABCD, 8);
+        sim::Network& net = lan.net();
 
         host::HostConfig cfg;
         cfg.name = "h0";
         cfg.mac = MacAddress::local(10);
         cfg.static_ip = Ipv4Address{192, 168, 1, 10};
         auto& h0 = net.emplace_node<host::Host>(cfg);
-        net.connect({h0.id(), 0}, {sw.id(), 0});
+        lan.attach(h0.id());
 
-        auto& monitor =
-            net.emplace_node<detect::MonitorNode>("monitor", MacAddress::local(0x999));
-        net.connect({monitor.id(), 0}, {sw.id(), 1});
-        sw.set_mirror_port(1);
+        lan.add_monitor();
 
         auto& fuzzer =
             net.emplace_node<FuzzerNode>("fuzzer", GetParam() ^ 0xF1, h0.mac());
-        net.connect({fuzzer.id(), 0}, {sw.id(), 2});
+        lan.attach(fuzzer.id());
 
         auto scheme = reg.make();
         detect::AlertSink alerts;
         crypto::OpCounters ops;
-        sim::PortId next_port = 3;
         detect::DeploymentContext ctx;
-        ctx.net = &net;
-        ctx.fabric = &sw;
         ctx.alerts = &alerts;
         ctx.ops = &ops;
         ctx.directory = {{"h0", Ipv4Address{192, 168, 1, 10}, h0.mac()}};
-        ctx.attach_infra = [&](sim::NodeId id) {
-            const sim::PortId port = next_port++;
-            net.connect({id, 0}, {sw.id(), port});
-            sw.set_trusted_port(port, true);
-            return port;
-        };
-        std::uint32_t infra = 0;
-        ctx.alloc_infra_ip = [&] {
-            return Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(240 + infra++)};
-        };
-        scheme->deploy(ctx);
-        scheme->configure_switch(sw);
-        scheme->protect_host(h0);
-        scheme->attach_monitor(monitor);
+        host::Host* const protect[] = {&h0};
+        lan.deploy(*scheme, std::move(ctx), protect);
 
         net.start_all();
         net.scheduler().run_until(SimTime::zero() + Duration::seconds(1));

@@ -407,6 +407,57 @@ TEST(ServeProtocolTest, CorruptLengthPrefixAbandonsStreamButKeepsWork) {
     EXPECT_EQ(outcome.value().summary.find("frames")->as_int(), 10);
 }
 
+TEST(ServeProtocolTest, ClientGoneMidRecordKeepsWholeRecordsAndFreezes) {
+    // A client that hangs up halfway through a frame record: the whole
+    // records before it are processed, the cut tail is neither a frame nor
+    // a bad record, and EOF without END freezes state (no grace window).
+    const auto trace = small_trace();
+    const std::size_t n = trace.frames.size() - 1;
+    const detect::Registry registry;
+    ServerOptions opts = base_options();
+    opts.shards = 2;
+    // A daemon that kept waiting for the rest of the record would idle out
+    // here instead of hanging the test.
+    opts.read_timeout_ms = 50;
+    opts.idle_timeout_ms = 30000;
+    auto server = Server::create(registry, opts);
+    ASSERT_TRUE(server.ok()) << server.error();
+
+    wire::Bytes script = encode_stream(trace, 0, n, true, /*with_end=*/false);
+    const wire::Bytes last = encode_stream(trace, n, n + 1, false, false);
+    script.insert(script.end(), last.begin(),
+                  last.begin() + static_cast<std::ptrdiff_t>(last.size() / 2));
+
+    const common::Stopwatch watch;
+    const auto outcome = serve_script(*server.value(), script, /*close_after=*/true);
+    EXPECT_LT(watch.elapsed_seconds(), 20.0);
+    ASSERT_TRUE(outcome.ok()) << outcome.error();
+    EXPECT_FALSE(outcome.value().ended_by_end_record);
+    EXPECT_FALSE(outcome.value().idled_out);
+    EXPECT_FALSE(outcome.value().stopped);
+    EXPECT_TRUE(outcome.value().transport_error.empty()) << outcome.value().transport_error;
+
+    const telemetry::Json& summary = outcome.value().summary;
+    EXPECT_EQ(static_cast<std::size_t>(summary.find("frames")->as_int()), n);
+    EXPECT_EQ(summary.find("dropped_frames")->as_int(), 0);
+    std::uint64_t per_shard_total = 0;
+    const auto* per_shard = summary.find("per_shard");
+    ASSERT_NE(per_shard, nullptr);
+    for (std::size_t i = 0; i < per_shard->size(); ++i) {
+        per_shard_total +=
+            static_cast<std::uint64_t>(per_shard->at(i).find("frames")->as_int());
+    }
+    EXPECT_EQ(per_shard_total, n);
+    EXPECT_EQ(server.value()->metrics().counter("serve.intake.bad_records").value(), 0u);
+
+    replay::LabeledTrace whole_records = trace;
+    whole_records.frames.resize(n);
+    const auto offline =
+        canonical_lines(offline_alerts(whole_records, common::Duration::zero()));
+    ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
+    EXPECT_EQ(canonical_lines(outcome.value().alerts), offline);
+}
+
 // ---------------------------------------------------------------------------
 // idle timeout and stop
 // ---------------------------------------------------------------------------

@@ -185,7 +185,6 @@ TEST(TwoSwitchTest, CoreMirrorMonitorHasEdgeBlindSpot) {
     detect::ArpwatchScheme arpwatch;
     detect::DeploymentContext ctx;
     ctx.net = &lan.net;
-    ctx.fabric = lan.sw_a;
     ctx.alerts = &alerts;
     arpwatch.deploy(ctx);
     arpwatch.attach_monitor(monitor);
