@@ -11,6 +11,8 @@
 // perf-trajectory point. Under --smoke the trace shrinks and one lap is
 // streamed; the full run soaks ~1M frames per shard configuration.
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -33,6 +35,37 @@ namespace {
 
 constexpr const char* kTrajectoryPath = "BENCH_serve_throughput.json";
 constexpr const char* kTrajectorySchema = "arpsec.bench-trajectory.v1";
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang++ " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "g++ " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
+/// What the trajectory point was measured on: OS and machine, CPU model,
+/// logical core count, compiler.
+telemetry::Json host_json() {
+    telemetry::Json host = telemetry::Json::object();
+    utsname uts{};
+    host["system"] = uname(&uts) == 0 ? std::string{uts.sysname} + " " + uts.release + " " +
+                                            uts.machine
+                                      : std::string{"unknown"};
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo{"/proc/cpuinfo"};
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) != 0) continue;
+        if (const auto colon = line.find(": "); colon != std::string::npos) {
+            cpu = line.substr(colon + 2);
+        }
+        break;
+    }
+    host["cpu"] = cpu;
+    host["cores"] = static_cast<std::uint64_t>(exp::hardware_threads());
+    host["compiler"] = std::string{kCompiler};
+    return host;
+}
 
 struct ConfigResult {
     std::size_t shards = 0;
@@ -205,6 +238,7 @@ int main(int argc, char** argv) {
     traj["schema"] = kTrajectorySchema;
     traj["bench"] = "serve_throughput";
     traj["smoke"] = opt.smoke;
+    traj["host"] = host_json();
     traj["frames"] = total_frames;
     telemetry::Json rows = telemetry::Json::array();
     for (const auto& r : results) {

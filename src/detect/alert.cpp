@@ -2,7 +2,7 @@
 
 namespace arpsec::detect {
 
-std::string to_string(AlertKind k) {
+std::string_view kind_name(AlertKind k) {
     switch (k) {
         case AlertKind::kSpoofSuspected: return "spoof-suspected";
         case AlertKind::kIpMacChange: return "ip-mac-change";
@@ -17,6 +17,8 @@ std::string to_string(AlertKind k) {
     }
     return "?";
 }
+
+std::string to_string(AlertKind k) { return std::string{kind_name(k)}; }
 
 void AlertSink::export_metrics(telemetry::MetricsRegistry& registry) const {
     registry.counter("detect.alerts.total").inc(alerts_.size());

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hpp"
@@ -24,6 +25,8 @@ enum class AlertKind {
     kRateAnomaly,        // ARP rate limit exceeded
 };
 
+/// The kind's stable name ("spoof-suspected", ...; "?" when out of range).
+[[nodiscard]] std::string_view kind_name(AlertKind k);
 [[nodiscard]] std::string to_string(AlertKind k);
 
 /// One alert raised by a scheme. `claimed_mac` is the MAC the suspicious

@@ -47,6 +47,8 @@ void sleep_millis(unsigned ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+unsigned hardware_threads() { return std::thread::hardware_concurrency(); }
+
 std::string run_pair(const std::function<void()>& peer,
                      const std::function<void()>& body) {
     std::string peer_error;

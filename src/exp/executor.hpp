@@ -40,6 +40,10 @@ void yield_thread() noexcept;
 /// alternative to including <thread> for a wall-clock pause in test code.
 void sleep_millis(unsigned ms);
 
+/// Logical CPUs of the host (std::thread::hardware_concurrency; 0 when
+/// unknown), for benches that record what they ran on.
+[[nodiscard]] unsigned hardware_threads();
+
 /// Runs `peer` on a dedicated thread while `body` runs on the calling
 /// thread, then joins — the sanctioned entry point for two-role
 /// (client/server) concurrency in serve tests and benches. run_indexed

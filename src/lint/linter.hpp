@@ -17,8 +17,10 @@ struct Violation {
     std::string rule;     // rule id, e.g. "sim-determinism"
     std::string message;  // human-readable explanation
     std::string snippet;  // the offending source line, trimmed
+    // Optional autofix: insert `fix_insert` before line `fix_line` (0 = none).
+    // Both have initializers so brace-initialised violations may omit them.
     std::size_t fix_line = 0;
-    std::string fix_insert;
+    std::string fix_insert{};
 };
 
 /// A file lint_tree() could not lint (unreadable, invalid UTF-8) — surfaced

@@ -33,14 +33,9 @@ Json SchemeScore::to_json() const {
 }
 
 std::vector<wire::FrameView> Engine::make_views(const LabeledTrace& trace) {
-    const wire::FrameSlab slab{trace.frames.size(), trace.storage};
     std::vector<wire::FrameView> views;
-    views.reserve(trace.frames.size());
-    for (std::size_t i = 0; i < trace.frames.size(); ++i) {
-        wire::FrameView view{slab.capture(i, trace.frames[i].bytes)};
-        view.prime();
-        views.push_back(std::move(view));
-    }
+    wire::capture_views(trace.storage, trace.frames,
+                        [](const TraceFrame& f) { return f.bytes; }, views);
     return views;
 }
 

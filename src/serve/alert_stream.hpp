@@ -4,10 +4,11 @@
 #include <vector>
 
 #include "detect/alert.hpp"
+#include "wire/buffer.hpp"
 
 namespace arpsec::serve {
 
-/// `arpsec.alert-stream.v1` — one JSON object per line. The same formatter
+/// `arpsec.alert-stream.v1` — one JSON object per line. The same writer
 /// backs the daemon's live kAlert records and arpsec-replay's `--alerts`
 /// file, which is what lets the serve<->replay equivalence gate diff the
 /// two byte for byte.
@@ -17,8 +18,14 @@ inline constexpr const char* kAlertStreamSchema = "arpsec.alert-stream.v1";
 [[nodiscard]] std::string alert_stream_header();
 
 /// One canonical alert line (no trailing newline). Keys are emitted in a
-/// fixed order so identical alerts always produce identical bytes.
+/// fixed order so identical alerts always produce identical bytes:
+/// at_ns, scheme, kind, ip, claimed_mac, previous_mac, detail.
 [[nodiscard]] std::string alert_line(const detect::Alert& alert);
+
+/// Appends one kAlert record carrying alert_line(alert) to `out`, written
+/// in place (no intermediate line or record body): the drain thread's
+/// encoder.
+void append_alert_record(wire::Bytes& out, const detect::Alert& alert);
 
 /// Canonical artifact order: by timestamp, then scheme, then the alert's
 /// identifying fields. Shard workers interleave nondeterministically, and

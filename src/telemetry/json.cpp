@@ -36,33 +36,6 @@ std::size_t Json::size() const {
     return 0;
 }
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out.push_back('"');
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 namespace {
 
 void append_newline_indent(std::string& out, int indent, int depth) {
@@ -90,7 +63,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
             out += buf;
         }
     } else if (is_string()) {
-        out += json_escape(as_string());
+        append_json_string(out, as_string());
     } else if (is_array()) {
         const auto& arr = as_array();
         if (arr.empty()) {
@@ -115,7 +88,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
         for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i > 0) out.push_back(',');
             append_newline_indent(out, indent, depth + 1);
-            out += json_escape(obj[i].first);
+            append_json_string(out, obj[i].first);
             out += indent < 0 ? ":" : ": ";
             obj[i].second.dump_to(out, indent, depth + 1);
         }

@@ -80,7 +80,38 @@ private:
     std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> value_;
 };
 
-/// Quotes and escapes `s` as a JSON string literal (including the quotes).
-[[nodiscard]] std::string json_escape(std::string_view s);
+/// Appends `s` to `out` as a quoted, escaped JSON string literal. `Out` is
+/// any byte container with push_back and range insert (std::string, a byte
+/// vector); Json::dump and writers that never build a Json tree share it.
+template <class Out>
+void append_json_string(Out& out, std::string_view s) {
+    const auto put = [&out](std::string_view part) {
+        out.insert(out.end(), part.begin(), part.end());
+    };
+    out.push_back('"');
+    std::size_t run = 0;  // start of the bytes that need no escape
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        put(s.substr(run, i - run));
+        run = i + 1;
+        switch (c) {
+            case '"': put("\\\""); break;
+            case '\\': put("\\\\"); break;
+            case '\b': put("\\b"); break;
+            case '\f': put("\\f"); break;
+            case '\n': put("\\n"); break;
+            case '\r': put("\\r"); break;
+            case '\t': put("\\t"); break;
+            default: {
+                constexpr std::string_view kHex = "0123456789abcdef";
+                const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xfu]};
+                put(std::string_view{esc, sizeof esc});
+            }
+        }
+    }
+    put(s.substr(run));
+    out.push_back('"');
+}
 
 }  // namespace arpsec::telemetry

@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <variant>
+#include <vector>
 
 #include "wire/arp_packet.hpp"
 #include "wire/buffer.hpp"
@@ -311,5 +312,24 @@ public:
 private:
     FrameBuffer buffer_;
 };
+
+/// The capture step of replay ingest and serve intake: one FrameSlab over
+/// `storage` for every frame of `frames`, and one primed view per frame
+/// appended to `out` in order. `bytes_of(frame)` is the frame's bytes, a
+/// span into `storage` (anything else is copied; see FrameSlab). Priming
+/// here, on the calling thread, is what lets the views cross to worker
+/// threads as read-only.
+template <class Frames, class BytesOf>
+void capture_views(std::shared_ptr<const Bytes> storage, const Frames& frames, BytesOf bytes_of,
+                   std::vector<FrameView>& out) {
+    const FrameSlab slab{std::size(frames), std::move(storage)};
+    out.reserve(out.size() + std::size(frames));
+    std::size_t slot = 0;
+    for (const auto& frame : frames) {
+        FrameView view{slab.capture(slot++, bytes_of(frame))};
+        view.prime();
+        out.push_back(std::move(view));
+    }
+}
 
 }  // namespace arpsec::wire

@@ -1,6 +1,7 @@
 #include "wire/ipv4_address.hpp"
 
-#include <cstdio>
+#include <array>
+#include <charconv>
 
 namespace arpsec::wire {
 
@@ -32,11 +33,19 @@ common::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
     return Ipv4Address{value};
 }
 
+std::size_t Ipv4Address::format(std::span<char, kMaxTextSize> out) const {
+    char* const begin = out.data();
+    char* end = begin;
+    for (int shift = 24; shift >= 0; shift -= 8) {
+        if (shift != 24) *end++ = '.';
+        end = std::to_chars(end, begin + out.size(), (value_ >> shift) & 0xFFu).ptr;
+    }
+    return static_cast<std::size_t>(end - begin);
+}
+
 std::string Ipv4Address::to_string() const {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value_ >> 24) & 0xFF, (value_ >> 16) & 0xFF,
-                  (value_ >> 8) & 0xFF, value_ & 0xFF);
-    return buf;
+    std::array<char, kMaxTextSize> text{};
+    return std::string{text.data(), format(text)};
 }
 
 std::string Ipv4Subnet::to_string() const {

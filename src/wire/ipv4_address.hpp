@@ -3,6 +3,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -29,6 +30,12 @@ public:
     [[nodiscard]] constexpr bool is_any() const { return value_ == 0; }
     [[nodiscard]] constexpr bool is_broadcast() const { return value_ == 0xFFFFFFFFU; }
 
+    /// Length of the longest text form, "255.255.255.255".
+    static constexpr std::size_t kMaxTextSize = 15;
+    /// Writes the dotted-quad text to the front of `out` without
+    /// allocating and returns its length; to_string() returns the same
+    /// characters.
+    std::size_t format(std::span<char, kMaxTextSize> out) const;
     [[nodiscard]] std::string to_string() const;
 
     constexpr auto operator<=>(const Ipv4Address&) const = default;

@@ -1,6 +1,5 @@
 #include "wire/mac_address.hpp"
 
-#include <cstdio>
 
 namespace arpsec::wire {
 namespace {
@@ -32,11 +31,19 @@ common::Expected<MacAddress> MacAddress::parse(std::string_view text) {
     return MacAddress{octets};
 }
 
+void MacAddress::format(std::span<char, kTextSize> out) const {
+    constexpr std::string_view kHex = "0123456789abcdef";
+    for (std::size_t i = 0; i < kSize; ++i) {
+        out[3 * i] = kHex[octets_[i] >> 4];
+        out[3 * i + 1] = kHex[octets_[i] & 0xFu];
+        if (i + 1 < kSize) out[3 * i + 2] = ':';
+    }
+}
+
 std::string MacAddress::to_string() const {
-    char buf[18];
-    std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0], octets_[1],
-                  octets_[2], octets_[3], octets_[4], octets_[5]);
-    return buf;
+    std::array<char, kTextSize> text{};
+    format(text);
+    return std::string{text.data(), text.size()};
 }
 
 }  // namespace arpsec::wire

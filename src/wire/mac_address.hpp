@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -51,6 +52,11 @@ public:
     /// Unicast = neither broadcast nor group address.
     [[nodiscard]] constexpr bool is_unicast() const { return !is_multicast(); }
 
+    /// Length of the text form, "aa:bb:cc:dd:ee:ff" (lowercase hex).
+    static constexpr std::size_t kTextSize = 17;
+    /// Writes the text form into `out` without allocating; to_string()
+    /// returns the same characters.
+    void format(std::span<char, kTextSize> out) const;
     [[nodiscard]] std::string to_string() const;
 
     /// The address as a 48-bit integer (useful as a map key).

@@ -198,7 +198,9 @@ TEST_P(PcapReaderFuzzTest, SurvivesTruncationAtEveryLength) {
     for (std::size_t len = 0; len <= data.size(); ++len) {
         const auto trace =
             wire::PcapReader::parse(std::span<const std::uint8_t>{data.data(), len});
-        if (!trace.ok()) EXPECT_FALSE(trace.error().empty()) << "length " << len;
+        if (!trace.ok()) {
+            EXPECT_FALSE(trace.error().empty()) << "length " << len;
+        }
     }
 }
 
@@ -214,7 +216,9 @@ TEST_P(PcapReaderFuzzTest, SurvivesByteMutations) {
                 static_cast<std::uint8_t>(rng.next_u64());
         }
         const auto trace = wire::PcapReader::parse(mutated);
-        if (!trace.ok()) EXPECT_FALSE(trace.error().empty());
+        if (!trace.ok()) {
+            EXPECT_FALSE(trace.error().empty());
+        }
     }
 }
 
@@ -224,7 +228,9 @@ TEST_P(PcapReaderFuzzTest, SurvivesPureGarbage) {
         Bytes garbage(rng.next_below(512));
         for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next_u64());
         const auto trace = wire::PcapReader::parse(garbage);
-        if (!trace.ok()) EXPECT_FALSE(trace.error().empty());
+        if (!trace.ok()) {
+            EXPECT_FALSE(trace.error().empty());
+        }
     }
 }
 
